@@ -18,11 +18,11 @@ from workloads import CheckFailed
 METRIC_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,63}")
 MIN_BEYOND = 10       # samples beyond a reported percentile
 MIN_ROUNDS = 3        # rounds per run, so every op has a median of 3+
-SETUP_EVERY = 25      # ops between set-up samples during a run
-# Set-up samples taken during a run: each re-imports pwsfold and leaves some
-# memory behind, so a fixed count keeps peak_rss_mb comparable between runs.
-SETUP_PROBES = 10
 REF_STEPS = 180       # size of the reference kernel
+# setup_s is the set-up time on a host where the reference kernel takes this
+# long: raw set-up seconds follow the host's speed, whose swings moved their
+# median over ten runs by 44% between two sets of runs of the same code.
+REF_NOMINAL_S = 1e-3
 HARD_LIMIT_S = 150.0  # stop starting rounds after this, whatever is missing
 OP_TIMEOUT_S = 30.0   # an op running longer is stopped and counted failed
 MAX_REPORTED = 5      # failures printed in full per run
@@ -125,9 +125,9 @@ def _reference_field(t, x):
             x1 - 2.0 - 0.1 * x3)
 
 
-def reference_kernel(steps: int = REF_STEPS, field=_reference_field):
+def reference_kernel():
     """Fixed-step RK4 on a 3-component field (about 1 ms), timed between
-    ops.
+    ops and around every set-up.
 
     It mimics pwsfold's hot path (a field called through a function, state
     tuples, float math) but calls nothing in pwsfold, so its time follows
@@ -135,8 +135,9 @@ def reference_kernel(steps: int = REF_STEPS, field=_reference_field):
     process by up to 2x for minutes at a time; an op's time divided by the
     kernel's time next to it stays within a few percent through them.
     """
+    field = _reference_field
     x, t, h = (0.1, 0.1, 0.1), 0.0, 0.01
-    for _ in range(steps):
+    for _ in range(REF_STEPS):
         k1 = field(t, x)
         k2 = field(t + 0.5 * h, (x[0] + 0.5 * h * k1[0], x[1] + 0.5 * h * k1[1],
                                  x[2] + 0.5 * h * k1[2]))
@@ -155,18 +156,25 @@ def _time_reference() -> float:
     return time.perf_counter() - start
 
 
+def time_setup(setup):
+    """(setup()'s result, (its seconds, mean of the reference kernel's
+    seconds just before and just after it))."""
+    ref_before = _time_reference()
+    start = time.perf_counter()
+    result = setup()
+    seconds = time.perf_counter() - start
+    return result, (seconds, 0.5 * (ref_before + _time_reference()))
+
+
 def one_round(ops, tally: Tally, times: list[list[tuple[float, float]]],
-              runs=None, between=None) -> list[bool]:
+              runs=None) -> list[bool]:
     """Run every op once, checking each; appends (op seconds, mean of the
     reference kernel's seconds just before and just after it) to times[i].
-    runs[i], when given, is run in place of ops[i].run; between(), when
-    given, is called before every SETUP_EVERY-th op. Returns which ops
+    runs[i], when given, is run in place of ops[i].run. Returns which ops
     passed."""
     gc.collect()
     passed = []
     for i, (op, op_times) in enumerate(zip(ops, times)):
-        if between is not None and i % SETUP_EVERY == 0:
-            between()
         ref_before = _time_reference()
         seconds, result, error = time_op(op.run if runs is None else runs[i])
         op_times.append((seconds, 0.5 * (ref_before + _time_reference())))
@@ -179,32 +187,18 @@ def _round_cost(times) -> float:
     return sum(t[-1][0] / t[-1][1] for t in times)
 
 
-def measure(ops, seconds: float, tally: Tally, setup=None,
-            min_rounds: int = MIN_ROUNDS):
-    """Repeat the op list until seconds have passed and min_rounds ran.
-
-    setup(), when given, is timed again before every SETUP_EVERY-th op, up to
-    SETUP_PROBES times, so set-up samples spread over the run as the host's
-    speed drifts. Returns
-    (each op's (seconds, reference) pairs over the rounds, the set-up times).
-    """
+def measure(ops, seconds: float, tally: Tally):
+    """Repeat the op list until seconds have passed and MIN_ROUNDS ran;
+    returns each op's (seconds, reference) pairs over the rounds."""
     start = time.perf_counter()
     times: list[list[tuple[float, float]]] = [[] for _ in ops]
-    setup_times: list[float] = []
-
-    def time_setup():
-        if len(setup_times) < SETUP_PROBES:
-            t0 = time.perf_counter()
-            setup()
-            setup_times.append(time.perf_counter() - t0)
-
     rounds = 0
     while True:
-        one_round(ops, tally, times, between=time_setup if setup else None)
+        one_round(ops, tally, times)
         rounds += 1
         elapsed = time.perf_counter() - start
-        if (elapsed >= seconds and rounds >= min_rounds) or elapsed >= HARD_LIMIT_S:
-            return times, setup_times
+        if (elapsed >= seconds and rounds >= MIN_ROUNDS) or elapsed >= HARD_LIMIT_S:
+            return times
 
 
 def op_costs(times):
@@ -218,17 +212,20 @@ def end_to_end(setup_times, times, tally: Tally, peak_rss_mb: float):
 
     Op costs are each op's median over the rounds of its time divided by the
     reference kernel's (unit "ref"); the raw medians in seconds come second,
-    for reading, as they swing with the host's load.
+    for reading, as they swing with the host's load. Set-up times are scaled
+    the same way, to seconds on a host where the kernel takes REF_NOMINAL_S.
     """
     norm, raw = zip(*op_costs(times))
     metrics = {
-        "setup_s": (statistics.median(setup_times), "s"),
+        "setup_s": (statistics.median(s / r for s, r in setup_times)
+                    * REF_NOMINAL_S, "s"),
         "wall_ref": (sum(norm), "ref"),
         "op_p50_ref": (statistics.median(norm), "ref"),
         "pass_ratio": ((tally.attempted - tally.failed) / tally.attempted, "ratio"),
         "peak_rss_mb": (peak_rss_mb, "MB"),
     }
     raw_info = {
+        "setup_raw_s": (statistics.median(s for s, _ in setup_times), "s"),
         "wall_s": (sum(raw), "s"),
         "op_p50_ms": (statistics.median(raw) * 1e3, "ms"),
         "ref_ms": (statistics.median(r for t in times for _, r in t) * 1e3, "ms"),

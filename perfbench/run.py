@@ -20,15 +20,20 @@ import json
 import os
 import platform
 import resource
+import subprocess
 import sys
 import tempfile
-import time
 
 import harness
 import tracer as tracing
 from workloads import WORKLOADS
 
-SETUP_REPEATS = 3
+# Set-ups timed per untraced run: the one that builds the timed op list, and
+# the rest after the timed rounds, because the memory each re-import leaves
+# behind slowed ops timed after it by about 5%. One set-up over the kernel's
+# time spreads by about 10%, and medians of 21 in a row by up to 5%, as the
+# host's speed changes within seconds.
+SETUP_REPEATS = 41
 OUT_DIR = ".perfbench_out"
 
 
@@ -51,25 +56,15 @@ def fresh_import(src: str):
 
 
 def commit_of(root: str) -> str:
-    """HEAD's commit read from .git without running git ('unknown' if none)."""
-    git = os.path.join(root, ".git")
+    """HEAD's commit, or 'unknown' outside a git checkout."""
+    if not os.path.exists(os.path.join(root, ".git")):
+        return "unknown"
     try:
-        with open(os.path.join(git, "HEAD"), encoding="utf-8") as fh:
-            head = fh.read().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        ref_path = os.path.join(git, ref)
-        if os.path.exists(ref_path):
-            with open(ref_path, encoding="utf-8") as fh:
-                return fh.read().strip()
-        with open(os.path.join(git, "packed-refs"), encoding="utf-8") as fh:
-            for line in fh:
-                if line.rstrip().endswith(" " + ref):
-                    return line.split()[0]
-    except OSError:
-        pass
-    return "unknown"
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
 def parse_args(argv):
@@ -104,11 +99,7 @@ def main(argv=None) -> int:
             pf = fresh_import(src)
             return pf, build(pf, args.seed, work)
 
-        setup_times = []
-        for _ in range(SETUP_REPEATS):
-            t0 = time.perf_counter()
-            pf, ops = setup()
-            setup_times.append(time.perf_counter() - t0)
+        (pf, ops), first_setup = harness.time_setup(setup)
         info, per_op = {}, []
         if args.trace:
             tr = tracing.Tracer(pf)
@@ -120,20 +111,11 @@ def main(argv=None) -> int:
             metrics, spans = harness.measure_traced(ops, traced_ops, tr,
                                                     args.seconds, tally)
         else:
-            def probe():
-                # the ops keep running on the modules they were built with
-                kept = _pwsfold_modules()
-                try:
-                    setup()
-                finally:
-                    for name in _pwsfold_modules():
-                        del sys.modules[name]
-                    sys.modules.update(kept)
-
-            times, more_setups = harness.measure(ops, args.seconds, tally, probe)
+            times = harness.measure(ops, args.seconds, tally)
             peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-            metrics, info = harness.end_to_end(setup_times + more_setups, times,
-                                               tally, peak)
+            setup_times = [first_setup] + [harness.time_setup(setup)[1]
+                                           for _ in range(SETUP_REPEATS - 1)]
+            metrics, info = harness.end_to_end(setup_times, times, tally, peak)
             info["rounds"] = (len(times[0]), "count")
             info["ops"] = (len(ops), "count")
             per_op = [{"op": op.name, "cost_ref": cost, "median_s": median_s}

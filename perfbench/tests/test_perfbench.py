@@ -45,10 +45,10 @@ def test_end_to_end_omits_p90_below_the_rule():
     tally = harness.Tally()
     tally.attempted = 99
     pairs = [[(0.001, 0.002), (0.002, 0.002)]]
-    metrics, raw = harness.end_to_end([0.1], pairs * 99, tally, 10.0)
+    metrics, raw = harness.end_to_end([(0.1, 0.002)], pairs * 99, tally, 10.0)
     assert "op_p90_ref" not in metrics and "op_p90_ms" not in raw
     tally.attempted = 100
-    metrics, raw = harness.end_to_end([0.1], pairs * 100, tally, 10.0)
+    metrics, raw = harness.end_to_end([(0.1, 0.002)], pairs * 100, tally, 10.0)
     assert set(metrics) == {m["name"] for m in SPEC["end_to_end"]}
     for m in SPEC["end_to_end"]:
         assert metrics[m["name"]][1] == m["unit"]
@@ -61,10 +61,13 @@ def test_op_costs_are_medians_of_time_over_reference():
     times = [[(0.010, 0.001), (0.020, 0.002), (0.011, 0.001)],
              [(0.050, 0.001), (0.030, 0.001), (0.090, 0.001)],
              [(0.002, 0.001), (0.001, 0.001), (0.004, 0.001)]]
-    metrics, raw = harness.end_to_end([0.2, 0.1, 0.3], times, tally, 10.0)
+    # the second set-up ran at a third of the speed
+    setups = [(0.2, 0.001), (0.6, 0.003), (0.3, 0.001)]
+    metrics, raw = harness.end_to_end(setups, times, tally, 10.0)
     assert metrics["wall_ref"][0] == pytest.approx(10.0 + 50.0 + 2.0)
     assert metrics["op_p50_ref"][0] == pytest.approx(10.0)
-    assert metrics["setup_s"][0] == pytest.approx(0.2)
+    assert metrics["setup_s"][0] == pytest.approx(200.0 * harness.REF_NOMINAL_S)
+    assert raw["setup_raw_s"][0] == pytest.approx(0.3)
     assert raw["wall_s"][0] == pytest.approx(0.011 + 0.050 + 0.002)
 
 
@@ -112,14 +115,21 @@ def test_failing_check_is_counted_and_reported():
     ops = [Op("good", lambda: 1, lambda r: None),
            Op("bad-check", lambda: 2, _failing_check),
            Op("raises", _raising_run, lambda r: None)]
-    times, _ = harness.measure(ops, 0.0, tally, min_rounds=2)
-    assert [len(t) for t in times] == [2, 2, 2]
-    assert (tally.attempted, tally.failed) == (6, 4)
+    times = harness.measure(ops, 0.0, tally)
+    rounds = harness.MIN_ROUNDS
+    assert [len(t) for t in times] == [rounds] * 3
+    assert (tally.attempted, tally.failed) == (3 * rounds, 2 * rounds)
     assert any("bad-check" in s and "bad output 2" in s for s in lines)
     assert any("raises" in s and "boom" in s for s in lines)
     result = json.loads(harness.result_line(tally.failed == 0, tally.attempted,
                                             tally.failed, {}))
-    assert result["correct"] is False and result["failed"] == 4
+    assert result["correct"] is False and result["failed"] == 2 * rounds
+
+
+def test_setup_is_timed_with_the_reference_kernel():
+    result, (seconds, ref) = harness.time_setup(lambda: "built")
+    assert result == "built"
+    assert seconds >= 0.0 and ref > 0.0
 
 
 def test_crashing_check_is_a_failure_not_an_abort():
@@ -167,7 +177,9 @@ def test_traced_smoke(pf, workload, tmp_path):
     for m in SPEC["per_layer"]:
         assert metrics[m["name"]][1] == m["unit"], m["name"]
     assert metrics["trace.identity_checks"][0] > 0
-    assert metrics["rk.attempts"][0] > 0
+    assert 0 < metrics["rk.accepted"][0] <= metrics["rk.attempts"][0]
+    assert metrics["rk.rejected"][0] == (metrics["rk.attempts"][0]
+                                         - metrics["rk.accepted"][0])
     if workload == "cli-batch":
         assert metrics["cli.calls"][0] == len(ops)
         assert metrics["cli.out_bytes"][0] > 0

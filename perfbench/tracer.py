@@ -4,9 +4,10 @@
 pwsfold module that holds them (modules import each other's functions by
 name). Each wrapped call records one span: name, start, end, parent span, op
 id and thread. Compiled fields returned by the code generators are wrapped to
-count evaluations, and `Dopri3._attempt` to count accepted and rejected
-Runge-Kutta attempts. Spans sit in per-thread flat arrays, so recording
-needs no lock, until `summarize` turns them into per-layer metrics.
+count evaluations, and `Dopri3.step_to` to count Runge-Kutta attempts (from
+the stepper's own step counter) and accepted steps. Spans sit in per-thread
+flat arrays, so recording needs no lock, until `summarize` turns them into
+per-layer metrics.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import array
 import gzip
 import itertools
-import math
 import os
 import statistics
 import sys
@@ -69,8 +69,8 @@ class _ThreadBuf:
         self.evals = array.array("q")     # field evaluations inside the span
         self.attempts = array.array("q")  # RK attempts inside the span
         self.field_evals = 0
+        self.rk_attempts = 0
         self.accepted = 0
-        self.rejected = 0
         self.counts: dict[str, int] = {}
 
     def add(self, key: str, n: int) -> None:
@@ -133,7 +133,7 @@ class Tracer:
         buf.evals.append(0)
         buf.attempts.append(0)
         evals0 = buf.field_evals
-        attempts0 = buf.accepted + buf.rejected
+        attempts0 = buf.rk_attempts
         stack.append(buf.base | idx)
         buf.start.append(time.perf_counter())
         buf.end.append(0.0)
@@ -146,7 +146,7 @@ class Tracer:
             buf.end[idx] = time.perf_counter()
             stack.pop()
             buf.evals[idx] = buf.field_evals - evals0
-            buf.attempts[idx] = buf.accepted + buf.rejected - attempts0
+            buf.attempts[idx] = buf.rk_attempts - attempts0
         if after is not None:
             after(buf, args, kwargs, result)
         return result
@@ -241,22 +241,20 @@ class Tracer:
                                 self._patches.append((mod, attr, orig, wrapper))
 
         dopri = mods["sim"].Dopri3
-        raw_attempt = dopri._attempt
+        raw_step_to = dopri.step_to
         get_buf = self._buf
-        isfinite = math.isfinite
 
-        def attempt(stepper, h):
-            out = raw_attempt(stepper, h)
-            x_new, _, err = out
-            buf = get_buf()
-            # the acceptance test of Dopri3.step_to
-            if err <= 1.0 and isfinite(x_new[0]) and isfinite(x_new[1]) \
-                    and isfinite(x_new[2]):
-                buf.accepted += 1
-            else:
-                buf.rejected += 1
-            return out
-        self._patches.append((dopri, "_attempt", raw_attempt, attempt))
+        def step_to(stepper, t_bound):
+            # attempts until one is accepted, or raises
+            before = stepper.nsteps
+            try:
+                raw_step_to(stepper, t_bound)
+            finally:
+                made = stepper.nsteps - before
+                get_buf().rk_attempts += made
+            if made:
+                get_buf().accepted += 1
+        self._patches.append((dopri, "step_to", raw_step_to, step_to))
 
     def _codegen_wrapper(self, name, orig):
         def wrapper(*args, **kwargs):
@@ -296,11 +294,11 @@ class Tracer:
                        op[i], thread, evals[i], attempts[i])
 
     def counts(self) -> dict[str, int]:
-        total: dict[str, int] = {"field_evals": 0, "accepted": 0, "rejected": 0}
+        total: dict[str, int] = {"field_evals": 0, "attempts": 0, "accepted": 0}
         for buf in self._bufs:
             total["field_evals"] += buf.field_evals
+            total["attempts"] += buf.rk_attempts
             total["accepted"] += buf.accepted
-            total["rejected"] += buf.rejected
             for key, n in buf.counts.items():
                 total[key] = total.get(key, 0) + n
         return total
@@ -356,7 +354,7 @@ def summarize(spans: list[tuple], counts: dict[str, int]) -> dict[str, float]:
     def secs(*names):
         return sum(incl.get(x, 0.0) for x in names)
 
-    attempts = counts["accepted"] + counts["rejected"]
+    attempts = counts["attempts"]
     main_ids = {s[0] for s in spans if s[1] == "cli.main"}
     cli_children = sum(s[3] - s[2] for s in spans if s[4] in main_ids)
     main_s = secs("cli.main")
@@ -366,7 +364,7 @@ def summarize(spans: list[tuple], counts: dict[str, int]) -> dict[str, float]:
         "expr.compile_s": secs(*CODEGEN),
         "rk.attempts": attempts,
         "rk.accepted": counts["accepted"],
-        "rk.rejected": counts["rejected"],
+        "rk.rejected": attempts - counts["accepted"],
         "rk.accept_ratio": counts["accepted"] / attempts if attempts else 0.0,
         "sim.integrate_calls": cnt("sim.integrate_smooth"),
         "sim.integrate_s": secs("sim.integrate_smooth"),
