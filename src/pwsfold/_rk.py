@@ -53,8 +53,7 @@ class Dopri3:
 
     def __init__(self, field, t0: float, x0, *, rtol: float = 1e-8,
                  atol: float = 1e-10, max_step: float = math.inf,
-                 max_steps: int = 50_000_000, step_cap=None,
-                 first_step: float | None = None):
+                 max_steps: int = 50_000_000, step_cap=None):
         self.field = field
         self.t = float(t0)
         self.x = (float(x0[0]), float(x0[1]), float(x0[2]))
@@ -65,7 +64,7 @@ class Dopri3:
         self.max_steps = max_steps
         self.step_cap = step_cap
         self.nsteps = 0
-        self.h = first_step if first_step is not None else self._initial_step()
+        self.h = self._initial_step()
         # previous accepted endpoint, for interpolation and event rewind
         self.t_prev = self.t
         self.x_prev = self.x

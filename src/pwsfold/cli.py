@@ -3,14 +3,12 @@
 Commands: classify, folded, fit, show, manifold, simulate, examples. System
 definitions are JSON files (expression fields or a normal_form block);
 reports are JSON on stdout, bulk numeric output is CSV. Exit codes:
-0 success, 2 input error, 3 numerical failure. PWSFOLD_THREADS caps the
-parallelism of batch simulate runs.
+0 success, 2 input error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys as _sys
@@ -18,7 +16,7 @@ from dataclasses import dataclass
 
 from . import sim
 from .exceptions import IntegrationError, PwsfoldError, ValidationError
-from .pws import PiecewiseSystem, PwsOptions, integrate_pws
+from .pws import PiecewiseSystem, Trajectory, integrate_pws
 from .regularize import (builtin_sigmoid, critical_manifold,
                          critical_manifold_csv, nonhyperbolic_curve,
                          nonhyperbolic_curve_csv, SIGMOID_NAMES)
@@ -213,20 +211,16 @@ def cmd_manifold(args) -> int:
     return 0
 
 
-def _simulate_one(sf: SystemFile, args, x0) -> tuple:
+def _simulate_one(sf: SystemFile, args, x0) -> Trajectory:
+    opts = sim.IntegratorOptions(dense_output_stride=args.stride)
     if args.mode == "regularized":
         if args.eps is None:
             raise ValidationError("--eps: required in regularized mode")
         if args.eps <= 0:
             raise ValidationError("--eps: must be positive")
-        opts = sim.IntegratorOptions(dense_output_stride=args.stride,
-                                     layer_eps=args.eps)
-        traj = sim.regularized_trajectory(sf.system, builtin_sigmoid(args.sigmoid),
+        return sim.regularized_trajectory(sf.system, builtin_sigmoid(args.sigmoid),
                                           args.eps, x0, args.t_end, opts)
-    else:
-        opts = PwsOptions(dense_output_stride=args.stride)
-        traj = integrate_pws(sf.system, x0, args.t_end, opts)
-    return traj
+    return integrate_pws(sf.system, x0, args.t_end, opts)
 
 
 def cmd_simulate(args) -> int:
@@ -237,16 +231,8 @@ def cmd_simulate(args) -> int:
     if len(x0s) > 1 and (args.out is None or args.out == "-"):
         raise ValidationError("--out: required when several --x0 are given")
 
-    def run(x0):
-        return _simulate_one(sf, args, x0)
-
-    if len(x0s) == 1:
-        trajs = [run(x0s[0])]
-    else:
-        workers = int(os.environ.get("PWSFOLD_THREADS", "0")) or min(len(x0s), os.cpu_count() or 1)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            trajs = list(pool.map(run, x0s))
-
+    # all runs before any write, so a failed start leaves no output file
+    trajs = [_simulate_one(sf, args, x0) for x0 in x0s]
     for i, traj in enumerate(trajs):
         if len(trajs) == 1:
             out = args.out

@@ -461,22 +461,37 @@ def _py_source(e: Expression) -> str:
 _PRELUDE = "_sin=math.sin, _cos=math.cos, _tanh=math.tanh, _sqrt=math.sqrt"
 
 
+def _generate(exprs, lam_source: str | None = None) -> Callable:
+    """Compile one expression, or a tuple of them, into a Python function.
+
+    A tuple compiles to a tuple-valued function. The arguments are
+    (x1, x2, x3, lam), or, given lam_source, (t, x) as an integrator field
+    that unpacks x into x1, x2, x3 and binds lam to that source.
+    """
+    if isinstance(exprs, tuple):
+        result = "(" + ", ".join(_py_source(c) for c in exprs) + ")"
+    else:
+        result = _py_source(exprs)
+    if lam_source is None:
+        head = f"def _f(x1, x2, x3, lam, {_PRELUDE}):\n"
+    else:
+        head = (f"def _f(t, x, {_PRELUDE}):\n"
+                "    x1, x2, x3 = x\n"
+                f"    lam = {lam_source}\n")
+    ns: dict = {"math": math}
+    exec(f"{head}    return {result}\n", ns)
+    return ns["_f"]
+
+
 def compile_expression(e: Expression):
     """Compile to a fast callable (x1, x2, x3, lam) -> float.
 
     The compiled path does no finiteness checking; use evaluate() when
     diagnostics matter. ZeroDivisionError and ValueError pass through raw.
     """
-    src = f"def _f(x1, x2, x3, lam, {_PRELUDE}):\n    return {_py_source(e)}\n"
-    ns: dict = {"math": math}
-    exec(src, ns)
-    return ns["_f"]
+    return _generate(e)
 
 
 def compile_field(components) -> Callable:
     """Compile several expressions into one callable returning a tuple."""
-    body = ", ".join(_py_source(c) for c in components)
-    src = f"def _f(x1, x2, x3, lam, {_PRELUDE}):\n    return ({body})\n"
-    ns: dict = {"math": math}
-    exec(src, ns)
-    return ns["_f"]
+    return _generate(tuple(components))

@@ -25,13 +25,14 @@ from ._rk import Dopri3, hermite
 from .roots import polish_bracketed_root, real_quadratic_roots
 
 __all__ = [
-    "PiecewiseSystem", "SurfaceMode", "Trajectory", "PwsOptions",
-    "combination", "classify_surface_point", "sliding_lambdas",
+    "PiecewiseSystem", "SurfaceMode", "Trajectory", "IntegratorOptions",
+    "PwsOptions", "combination", "classify_surface_point", "sliding_lambdas",
     "sliding_field", "integrate_pws",
 ]
 
 SURFACE_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
+_N_SCAN = 64  # sliding-root scan subintervals for f1 beyond quadratic in lambda
 
 _LAM = ex.Var("lambda")
 _HALF_PLUS = ex.BinOp("*", ex.BinOp("+", ex.ONE, _LAM), ex.Const(0.5))
@@ -88,6 +89,13 @@ class PiecewiseSystem:
         """Compiled partial of the combined f1 with respect to lambda."""
         return ex.compile_expression(
             ex.differentiate(self.combined_expressions[0], "lambda"))
+
+    @cached_property
+    def f1_surface_gradient(self):
+        """Compiled partials of the combined f1 with respect to x2 and x3."""
+        f1 = self.combined_expressions[0]
+        return (ex.compile_expression(ex.differentiate(f1, "x2")),
+                ex.compile_expression(ex.differentiate(f1, "x3")))
 
     @cached_property
     def lambda_degree(self) -> int | None:
@@ -163,12 +171,11 @@ def _lambda_poly_coeffs(sys: PiecewiseSystem, x2: float, x3: float):
     return a, b, v0
 
 
-def sliding_lambdas(sys: PiecewiseSystem, x2: float, x3: float,
-                    n_scan: int = 64) -> list[float]:
+def sliding_lambdas(sys: PiecewiseSystem, x2: float, x3: float) -> list[float]:
     """All roots lambda in [-1, 1] of f1(0, x2, x3; lambda) = 0, ascending.
 
     When f1 is (at most) quadratic in lambda the roots come from the closed
-    form; otherwise from a sign-change scan over n_scan subintervals followed
+    form; otherwise from a sign-change scan over 64 subintervals followed
     by a secant/bisection polish to residual 1e-12.
     """
     deg = sys.lambda_degree
@@ -183,10 +190,10 @@ def sliding_lambdas(sys: PiecewiseSystem, x2: float, x3: float,
     def g(lam: float) -> float:
         return f(0.0, x2, x3, lam)[0]
 
-    nodes = [-1.0 + 2.0 * i / n_scan for i in range(n_scan + 1)]
+    nodes = [-1.0 + 2.0 * i / _N_SCAN for i in range(_N_SCAN + 1)]
     vals = [g(u) for u in nodes]
     roots: list[float] = []
-    for i in range(n_scan):
+    for i in range(_N_SCAN):
         lo, hi, flo, fhi = nodes[i], nodes[i + 1], vals[i], vals[i + 1]
         if flo == 0.0:
             roots.append(lo)
@@ -280,14 +287,19 @@ class Trajectory:
 
 
 @dataclass
-class PwsOptions:
-    """Tolerances and budgets for event-driven integration."""
+class IntegratorOptions:
+    """Tolerances, budgets and dense output for both integrators.
+
+    layer_eps enables the smooth integrator's step cap near the layer;
+    max_events, surface_tol and residual_tol act in event-driven runs only.
+    """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_step: float = math.inf
     max_steps: int = 50_000_000
     dense_output_stride: float = 0.01
+    layer_eps: float | None = None
     max_events: int = 10_000
     surface_tol: float = SURFACE_TOL
     residual_tol: float = RESIDUAL_TOL
@@ -299,22 +311,29 @@ class PwsOptions:
             raise ValueError("max_steps must be at least 1")
 
 
+PwsOptions = IntegratorOptions
+
+
+def _mode_of(state) -> str:
+    return "free+" if state[0] >= 0 else "free-"
+
+
 class _Recorder:
-    def __init__(self, traj: Trajectory, t0: float, stride: float):
+    """Dense output: one sample at each multiple of stride, interpolated in
+    the accepted step that reaches it."""
+
+    def __init__(self, traj: Trajectory, stride: float):
         self.traj = traj
-        self.t0 = t0
         self.stride = stride
         self.k = 1  # next stride sample index
 
-    def next_time(self) -> float:
-        return self.t0 + self.k * self.stride
-
-    def emit_through(self, t_hi: float, interp, mode: str, lam_of=None) -> None:
-        while self.next_time() <= t_hi + 1e-12 * max(1.0, abs(t_hi)):
-            t = self.next_time()
+    def emit_through(self, t_hi: float, interp, mode: str | None = None,
+                     lam_of=None) -> None:
+        """Append the samples up to t_hi; mode None labels each by sign(x1)."""
+        while (t := self.k * self.stride) <= t_hi + 1e-12 * max(1.0, abs(t_hi)):
             s = interp(min(t, t_hi))
             lam = lam_of(s) if lam_of is not None else None
-            self.traj.append(t, s, mode, lam)
+            self.traj.append(t, s, mode or _mode_of(s), lam)
             self.k += 1
 
 
@@ -339,7 +358,7 @@ def _entry_root(sys: PiecewiseSystem, x2: float, x3: float,
 
 
 def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
-                  opts: PwsOptions | None = None) -> Trajectory:
+                  opts: IntegratorOptions | None = None) -> Trajectory:
     """Event-driven integration of the piecewise-smooth flow from x0.
 
     Open-region flight uses an adaptive Runge-Kutta pair with the surface
@@ -351,9 +370,9 @@ def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
-    opts = opts or PwsOptions()
+    opts = opts or IntegratorOptions()
     traj = Trajectory()
-    rec = _Recorder(traj, 0.0, opts.dense_output_stride)
+    rec = _Recorder(traj, opts.dense_output_stride)
 
     t = 0.0
     x = (float(x0[0]), float(x0[1]), float(x0[2]))

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
+from . import expr as ex
 from .exceptions import NonHyperbolicPointError
 from .pws import PiecewiseSystem, sliding_lambdas
 
@@ -137,16 +138,7 @@ def regularized_field(sys: PiecewiseSystem, s: Sigmoid, eps: float, x):
 def compile_regularized_field(sys: PiecewiseSystem, s: Sigmoid, eps: float):
     """Fast (t, x) -> (f1, f2, f3) callable with the sigmoid inlined."""
     lam_src = s.inline.format(u=f"(x1 * {1.0 / eps!r})")
-    from . import expr as ex
-    comps = ", ".join(ex._py_source(c) for c in sys.combined_expressions)
-    src = ("def _f(t, x, _m=math):\n"
-           "    x1, x2, x3 = x\n"
-           f"    lam = {lam_src}\n"
-           f"    return ({comps})\n")
-    ns: dict = {"math": math, "_sin": math.sin, "_cos": math.cos,
-                "_tanh": math.tanh, "_sqrt": math.sqrt}
-    exec(src, ns)
-    return ns["_f"]
+    return ex._generate(sys.combined_expressions, lam_src)
 
 
 def layer_field(sys: PiecewiseSystem, lam: float, x2: float, x3: float) -> float:
@@ -235,19 +227,8 @@ def slow_u_dot(sys: PiecewiseSystem, s: Sigmoid, point: CriticalPoint) -> float:
             f"df1/du = {df1_du:.3e} at lambda = {lam!r}; slow flow is "
             "indeterminate here (potential folded singularity)")
     _, f2v, f3v = sys.combined(0.0, x2, x3, lam)
-    g2, g3 = _surface_gradient(sys, x2, x3, lam)
-    return -(f2v * g2 + f3v * g3) / df1_du
-
-
-def _surface_gradient(sys: PiecewiseSystem, x2: float, x3: float, lam: float):
-    from . import expr as ex
-    cache = getattr(sys, "_f1_xgrad", None)
-    if cache is None:
-        f1 = sys.combined_expressions[0]
-        cache = (ex.compile_expression(ex.differentiate(f1, "x2")),
-                 ex.compile_expression(ex.differentiate(f1, "x3")))
-        object.__setattr__(sys, "_f1_xgrad", cache)
-    return cache[0](0.0, x2, x3, lam), cache[1](0.0, x2, x3, lam)
+    d2, d3 = sys.f1_surface_gradient
+    return -(f2v * d2(0.0, x2, x3, lam) + f3v * d3(0.0, x2, x3, lam)) / df1_du
 
 
 # --- degeneracy of the unperturbed two-fold -----------------------------------

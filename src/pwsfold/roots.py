@@ -6,6 +6,8 @@ import math
 
 __all__ = ["real_quadratic_roots", "polish_bracketed_root"]
 
+_MAX_ITER = 200  # secant/bisection iterations of polish_bracketed_root
+
 
 def real_quadratic_roots(a: float, b: float, c: float) -> tuple[float, ...]:
     """Real roots of a*x^2 + b*x + c = 0, ascending.
@@ -32,12 +34,12 @@ def real_quadratic_roots(a: float, b: float, c: float) -> tuple[float, ...]:
 
 
 def polish_bracketed_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
-                          *, residual_tol: float = 1e-12,
-                          max_iter: int = 200) -> float:
+                          *, residual_tol: float = 1e-12) -> float:
     """Refine a sign-change bracket with a secant/bisection hybrid.
 
-    Stops when |f| <= residual_tol or the bracket width reaches machine
-    resolution. The bracket must satisfy f_lo * f_hi <= 0.
+    Stops when |f| <= residual_tol, the bracket width reaches machine
+    resolution, or after 200 iterations. The bracket must satisfy
+    f_lo * f_hi <= 0.
     """
     if f_lo == 0.0:
         return lo
@@ -45,7 +47,7 @@ def polish_bracketed_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
         return hi
     if f_lo * f_hi > 0.0:
         raise ValueError("bracket does not straddle a sign change")
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if f_hi != f_lo:
             x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         else:

@@ -3,18 +3,20 @@
 The integrator is an explicit adaptive Runge-Kutta pair; stiffness from the
 regularization layer is handled by capping the step near |x1| < 10 eps at
 eps / |f|, which keeps the layer contraction inside the stability region
-without an implicit method.
+without an implicit method. Both integrators take IntegratorOptions
+(pws.PwsOptions is the same class).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Callable, Iterable, TextIO
 
 from ._rk import Dopri3
 from .exceptions import ValidationError
-from .pws import PiecewiseSystem, Trajectory
+from .pws import (IntegratorOptions, PiecewiseSystem, Trajectory, _mode_of,
+                  _Recorder)
 from .regularize import Sigmoid, builtin_sigmoid, compile_regularized_field
 
 __all__ = [
@@ -23,24 +25,6 @@ __all__ = [
     "write_trajectory_csv", "trajectory_csv", "EXAMPLE_NAMES",
     "DEFAULT_EXAMPLE_X0",
 ]
-
-
-@dataclass
-class IntegratorOptions:
-    """Adaptive-stepping controls shared by the smooth integrator."""
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-    max_step: float = math.inf
-    max_steps: int = 50_000_000
-    dense_output_stride: float = 0.01
-    layer_eps: float | None = None  # enables the layer-aware step cap
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
 
 
 def integrate_smooth(field: Callable, x0, t_end: float,
@@ -70,21 +54,12 @@ def integrate_smooth(field: Callable, x0, t_end: float,
                      step_cap=cap)
     traj = Trajectory()
     traj.append(0.0, stepper.x, _mode_of(stepper.x), None)
-    stride = opts.dense_output_stride
-    k = 1
+    rec = _Recorder(traj, opts.dense_output_stride)
     while stepper.t < t_end:
         stepper.step_to(t_end)
-        while k * stride <= stepper.t + 1e-12 * max(1.0, stepper.t):
-            ts = k * stride
-            state = stepper.interpolate(min(ts, stepper.t))
-            traj.append(ts, state, _mode_of(state), None)
-            k += 1
+        rec.emit_through(stepper.t, stepper.interpolate)
     traj.append(t_end, stepper.x, _mode_of(stepper.x), None)
     return traj
-
-
-def _mode_of(state) -> str:
-    return "free+" if state[0] >= 0 else "free-"
 
 
 def regularized_trajectory(sys: PiecewiseSystem, s: Sigmoid, eps: float,
@@ -95,10 +70,7 @@ def regularized_trajectory(sys: PiecewiseSystem, s: Sigmoid, eps: float,
         raise ValueError("eps must be positive")
     opts = opts or IntegratorOptions()
     if opts.layer_eps is None:
-        opts = IntegratorOptions(rel_tol=opts.rel_tol, abs_tol=opts.abs_tol,
-                                 max_step=opts.max_step, max_steps=opts.max_steps,
-                                 dense_output_stride=opts.dense_output_stride,
-                                 layer_eps=eps)
+        opts = replace(opts, layer_eps=eps)
     field = compile_regularized_field(sys, s, eps)
     traj = integrate_smooth(field, x0, t_end, opts)
     # fill the lambda column where the sample sits in the layer

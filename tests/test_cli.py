@@ -165,14 +165,27 @@ class TestSimulate:
         assert run(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_batch_x0_with_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PWSFOLD_THREADS", "2")
-        out = tmp_path / "batch.csv"
-        assert run(["simulate", bundled("section6_linear.json"), "--mode", "pws",
-                    "--t-end", "1", "--x0", "0.5,0,0", "--x0", "0.25,0,0",
-                    "--out", str(out)]) == 0
-        assert (tmp_path / "batch.0.csv").exists()
-        assert (tmp_path / "batch.1.csv").exists()
+    def test_batch_x0_matches_single_runs(self, tmp_path):
+        argv = ["simulate", bundled("section6_linear.json"), "--mode", "pws",
+                "--t-end", "1"]
+        starts = ["0.5,0,0", "0.25,0,0"]
+        assert run(argv + ["--x0", starts[0], "--x0", starts[1],
+                           "--out", str(tmp_path / "batch.csv")]) == 0
+        for i, x0 in enumerate(starts):
+            single = tmp_path / f"single{i}.csv"
+            assert run(argv + ["--x0", x0, "--out", str(single)]) == 0
+            assert (tmp_path / f"batch.{i}.csv").read_bytes() == single.read_bytes()
+
+    def test_batch_failure_writes_nothing(self, tmp_path, capsys):
+        # the second start hits the 1/x1 singularity of test_numerical_failure_exit_3
+        path = write_json(tmp_path, "sing.json", {
+            "fplus": ["-1/x1", "0", "0"], "fminus": ["1", "0", "0"]})
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run(["simulate", path, "--mode", "pws", "--t-end", "2",
+                    "--x0=-5,0,0", "--x0", "1,0,0", "--out", str(out / "b.csv")])
+        assert code == 3
+        assert list(out.iterdir()) == []
 
     def test_batch_requires_out(self, capsys):
         assert run(["simulate", bundled("section6_linear.json"),

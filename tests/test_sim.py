@@ -42,6 +42,18 @@ class TestIntegrateSmooth:
         with pytest.raises(ValueError):
             IntegratorOptions(max_steps=0)
 
+    def test_matches_event_driven_away_from_surface(self):
+        # x1' = -x1 keeps x1 > 0, so integrate_pws runs one free+ leg
+        sys = pf.PiecewiseSystem.from_strings(("-x1", "x1 - x2", "1 - x3"),
+                                              ("1", "0", "0"))
+        opts = IntegratorOptions(dense_output_stride=0.07)
+        smooth = integrate_smooth(sys.branch_field(1), (1.0, 0.5, -0.5), 5.0, opts)
+        event = pf.integrate_pws(sys, (1.0, 0.5, -0.5), 5.0, opts)
+        assert event.events == 0
+        assert smooth.times == event.times
+        assert smooth.states == event.states
+        assert smooth.modes == event.modes == ["free+"] * len(smooth.times)
+
     def test_tolerance_monotonicity(self):
         # halving rel_tol never increases the deviation from a tight reference
         field = lambda t, x: (x[1], -x[0], 0.25 * x[0] * x[1])
