@@ -28,19 +28,34 @@ _MAX_FACTOR = 5.0
 _SAFETY = 0.9
 
 
-def hermite(t0, x0, f0, t1, x1, f1, t):
-    """Cubic Hermite interpolant between two accepted step endpoints."""
+def hermite(t0, x0, f0, t1, x1, f1):
+    """Cubic Hermite interpolant of one accepted step, as a function of t.
+
+    The Horner coefficients of each component are computed once here; every
+    evaluation then costs three cubics in th = (t - t0) / (t1 - t0).
+    """
     h = t1 - t0
     if h == 0.0:
-        return x1
-    th = (t - t0) / h
-    out = []
-    for i in range(3):
-        d = x1[i] - x0[i]
-        c2 = 3.0 * d - h * (2.0 * f0[i] + f1[i])
-        c3 = -2.0 * d + h * (f0[i] + f1[i])
-        out.append(x0[i] + th * (h * f0[i] + th * (c2 + th * c3)))
-    return tuple(out)
+        return lambda t: x1
+    a1, a2, a3 = x0
+    p1, p2, p3 = f0
+    q1, q2, q3 = f1
+    d1, d2, d3 = x1[0] - a1, x1[1] - a2, x1[2] - a3
+    b1, b2, b3 = h * p1, h * p2, h * p3
+    c1 = 3.0 * d1 - h * (2.0 * p1 + q1)
+    c2 = 3.0 * d2 - h * (2.0 * p2 + q2)
+    c3 = 3.0 * d3 - h * (2.0 * p3 + q3)
+    e1 = -2.0 * d1 + h * (p1 + q1)
+    e2 = -2.0 * d2 + h * (p2 + q2)
+    e3 = -2.0 * d3 + h * (p3 + q3)
+
+    def at(t):
+        th = (t - t0) / h
+        return (a1 + th * (b1 + th * (c1 + th * e1)),
+                a2 + th * (b2 + th * (c2 + th * e2)),
+                a3 + th * (b3 + th * (c3 + th * e3)))
+
+    return at
 
 
 class Dopri3:
@@ -87,10 +102,10 @@ class Dopri3:
         (self.t, self.x, self.f, self.h, self.t_prev, self.x_prev,
          self.f_prev, self.nsteps) = snap
 
-    def interpolate(self, t: float):
-        """State within the last accepted step via cubic Hermite."""
+    def interpolant(self):
+        """hermite() of the last accepted step, (t_prev, t)."""
         return hermite(self.t_prev, self.x_prev, self.f_prev,
-                       self.t, self.x, self.f, t)
+                       self.t, self.x, self.f)
 
     # -- stepping -----------------------------------------------------------
 

@@ -133,6 +133,14 @@ def _require_normal_form(sf: SystemFile, path: str) -> TwoFoldParams:
     return sf.normal_form
 
 
+def _folded_json(params: TwoFoldParams, s) -> list[dict]:
+    """Folded-point reports as JSON objects; none when alpha = 0, where the
+    regularization is degenerate and has no canonical coefficients."""
+    if params.alpha == 0.0:
+        return []
+    return [r.to_json_dict() for r in folded_reports(params, s)]
+
+
 def cmd_classify(args) -> int:
     sf = load_system_file(args.file)
     params = _require_normal_form(sf, args.file)
@@ -141,8 +149,7 @@ def cmd_classify(args) -> int:
     report = {
         "flavour": tc.flavour.value,
         "determinacy_breaking": tc.determinacy_breaking,
-        "folded_points": [r.to_json_dict() for r in folded_reports(params, s)]
-        if params.alpha != 0.0 else [],
+        "folded_points": _folded_json(params, s),
     }
     _write_text(args.out, json.dumps(report, indent=2) + "\n")
     return 0
@@ -151,8 +158,7 @@ def cmd_classify(args) -> int:
 def cmd_folded(args) -> int:
     sf = load_system_file(args.file)
     params = _require_normal_form(sf, args.file)
-    s = builtin_sigmoid(args.sigmoid)
-    report = [r.to_json_dict() for r in folded_reports(params, s)]
+    report = _folded_json(params, builtin_sigmoid(args.sigmoid))
     _write_text(args.out, json.dumps(report, indent=2) + "\n")
     return 0
 
@@ -331,9 +337,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Flags whose values may start with '-': argparse reads "--x0 -5,0,0" as a
+# flag without its value, so main() rewrites it to "--x0=-5,0,0".
+_SIGNED_VALUE_FLAGS = ("--x0", "--x2", "--x3")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    out = []
+    it = iter(argv)
+    for arg in it:
+        value = next(it, None) if arg in _SIGNED_VALUE_FLAGS else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = _sys.argv[1:] if argv is None else argv
+    args = ap.parse_args(_attach_signed_values(list(argv)))
     try:
         return args.func(args)
     except ValidationError as exc:

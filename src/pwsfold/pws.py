@@ -21,7 +21,7 @@ from functools import cached_property
 
 from . import expr as ex
 from .exceptions import (EvaluationError, EventLimitError, SlidingResidualError)
-from ._rk import Dopri3, hermite
+from ._rk import Dopri3
 from .roots import polish_bracketed_root, real_quadratic_roots
 
 __all__ = [
@@ -83,6 +83,16 @@ class PiecewiseSystem:
     def combined(self):
         """Compiled (x1, x2, x3, lam) -> (f1, f2, f3)."""
         return ex.compile_field(self.combined_expressions)
+
+    @cached_property
+    def f1(self):
+        """Compiled combined f1 alone: (x1, x2, x3, lam) -> float.
+
+        Generated from the same expression as combined's first component,
+        so its values are bit-equal to combined(...)[0], without evaluating
+        f2 and f3.
+        """
+        return ex.compile_expression(self.combined_expressions[0])
 
     @cached_property
     def f1_dlambda(self):
@@ -149,8 +159,8 @@ def classify_surface_point(sys: PiecewiseSystem, x, tol: float = RESIDUAL_TOL) -
     """Classify a surface point by the normal components of the two fields."""
     if abs(x[0]) > SURFACE_TOL and abs(x[0]) > tol:
         raise ValueError(f"point is not on the surface: x1 = {x[0]!r}")
-    vplus = sys.combined(0.0, x[1], x[2], 1.0)[0]
-    vminus = sys.combined(0.0, x[1], x[2], -1.0)[0]
+    vplus = sys.f1(0.0, x[1], x[2], 1.0)
+    vminus = sys.f1(0.0, x[1], x[2], -1.0)
     if abs(vplus) <= tol or abs(vminus) <= tol:
         return SurfaceMode.TANGENCY
     if vplus < 0.0 < vminus:
@@ -162,10 +172,10 @@ def classify_surface_point(sys: PiecewiseSystem, x, tol: float = RESIDUAL_TOL) -
 
 def _lambda_poly_coeffs(sys: PiecewiseSystem, x2: float, x3: float):
     """Quadratic-in-lambda coefficients of f1 at (0, x2, x3), if applicable."""
-    f = sys.combined
-    v0 = f(0.0, x2, x3, 0.0)[0]
-    vp = f(0.0, x2, x3, 1.0)[0]
-    vm = f(0.0, x2, x3, -1.0)[0]
+    f1 = sys.f1
+    v0 = f1(0.0, x2, x3, 0.0)
+    vp = f1(0.0, x2, x3, 1.0)
+    vm = f1(0.0, x2, x3, -1.0)
     a = 0.5 * (vp + vm) - v0
     b = 0.5 * (vp - vm)
     return a, b, v0
@@ -180,15 +190,15 @@ def sliding_lambdas(sys: PiecewiseSystem, x2: float, x3: float) -> list[float]:
     """
     deg = sys.lambda_degree
     if deg is not None and deg <= 2:
-        a, b, c = _lambda_poly_coeffs(sys, x2, x3)
-        roots = [r for r in real_quadratic_roots(a, b, c)
-                 if -1.0 - 1e-12 <= r <= 1.0 + 1e-12]
-        return sorted(min(1.0, max(-1.0, r)) for r in roots)
+        # ascending roots stay ascending under the clamp
+        return [min(1.0, max(-1.0, r))
+                for r in real_quadratic_roots(*_lambda_poly_coeffs(sys, x2, x3))
+                if -1.0 - 1e-12 <= r <= 1.0 + 1e-12]
 
-    f = sys.combined
+    f1 = sys.f1
 
     def g(lam: float) -> float:
-        return f(0.0, x2, x3, lam)[0]
+        return f1(0.0, x2, x3, lam)
 
     nodes = [-1.0 + 2.0 * i / _N_SCAN for i in range(_N_SCAN + 1)]
     vals = [g(u) for u in nodes]
@@ -327,14 +337,30 @@ class _Recorder:
         self.stride = stride
         self.k = 1  # next stride sample index
 
-    def emit_through(self, t_hi: float, interp, mode: str | None = None,
+    def emit_through(self, t_hi: float, interpolant, mode: str | None = None,
                      lam_of=None) -> None:
-        """Append the samples up to t_hi; mode None labels each by sign(x1)."""
-        while (t := self.k * self.stride) <= t_hi + 1e-12 * max(1.0, abs(t_hi)):
-            s = interp(min(t, t_hi))
-            lam = lam_of(s) if lam_of is not None else None
-            self.traj.append(t, s, mode or _mode_of(s), lam)
-            self.k += 1
+        """Append the samples up to t_hi; mode None labels each by sign(x1).
+
+        interpolant() builds the step's t -> state function; it is called
+        only when a sample falls in the step. A sample whose stride multiple
+        rounds past t_hi is taken at t_hi, so the end state or event record
+        appended there next replaces it instead of being dropped.
+        """
+        k, stride = self.k, self.stride
+        bound = t_hi + 1e-12 * max(1.0, abs(t_hi))
+        t = k * stride
+        if t > bound:
+            return
+        at = interpolant()
+        append = self.traj.append
+        while t <= bound:
+            if t > t_hi:
+                t = t_hi
+            s = at(t)
+            append(t, s, mode or _mode_of(s), None if lam_of is None else lam_of(s))
+            k += 1
+            t = k * stride
+        self.k = k
 
 
 def _continued_root(sys: PiecewiseSystem, x2: float, x3: float,
@@ -342,7 +368,13 @@ def _continued_root(sys: PiecewiseSystem, x2: float, x3: float,
     roots = sliding_lambdas(sys, x2, x3)
     if not roots:
         return None
-    return min(roots, key=lambda r: abs(r - prev))
+    best = roots[0]
+    dist = abs(best - prev)
+    for r in roots[1:]:
+        d = abs(r - prev)
+        if d < dist:  # strict: the first of two tied roots wins
+            best, dist = r, d
+    return best
 
 
 def _entry_root(sys: PiecewiseSystem, x2: float, x3: float,
@@ -415,11 +447,11 @@ def _free_leg(sys, t, x, region, t_end, opts, traj, rec):
                    (abs(x1_new) <= opts.surface_tol and abs(x1_prev) > opts.surface_tol) or
                    (abs(x1_new) > opts.surface_tol and (x1_new > 0) != (region > 0)))
         if not crossed:
-            rec.emit_through(stepper.t, stepper.interpolate, mode)
+            rec.emit_through(stepper.t, stepper.interpolant, mode)
             continue
-        step_interp = _hermite_closure(stepper)
-        t_ev = _locate_crossing(stepper, snap, opts, region)
-        rec.emit_through(t_ev, step_interp, mode)
+        step_interp = stepper.interpolant()
+        t_ev = _locate_crossing(stepper, snap, opts, region, step_interp)
+        rec.emit_through(t_ev, lambda: step_interp, mode)
         x_ev = (0.0, stepper.x[1], stepper.x[2])
         traj.events += 1
         sm = classify_surface_point(sys, x_ev, opts.residual_tol)
@@ -438,34 +470,28 @@ def _free_leg(sys, t, x, region, t_end, opts, traj, rec):
             return stepper.t, x_ev, 0
         traj.append(t_ev, x_ev, "crossing", None)
         return stepper.t, x_ev, side
-    rec.emit_through(t_end, stepper.interpolate, mode)
+    rec.emit_through(t_end, stepper.interpolant, mode)
     traj.append(t_end, stepper.x, mode, None)
     return stepper.t, stepper.x, region
 
 
-def _hermite_closure(stepper: Dopri3):
-    """Dense-output closure for the stepper's last accepted step."""
-    t0, x0, f0 = stepper.t_prev, stepper.x_prev, stepper.f_prev
-    t1, x1v, f1v = stepper.t, stepper.x, stepper.f
-    return lambda tt: hermite(t0, x0, f0, t1, x1v, f1v, tt)
+def _locate_crossing(stepper: Dopri3, snap, opts, region: int, interp) -> float:
+    """Move the stepper so its state sits on x1 = 0 to surface_tol.
 
-
-def _locate_crossing(stepper: Dopri3, snap, opts, region: int) -> float:
-    """Move the stepper so its state sits on x1 = 0 to surface_tol."""
-    t0, x0, f0 = stepper.t_prev, stepper.x_prev, stepper.f_prev
-    t1, x1v, f1v = stepper.t, stepper.x, stepper.f
-    lo, hi = t0, t1
-    g_lo, g_hi = x0[0], x1v[0]
+    interp is the interpolant of the step that crossed; it gives the first
+    guess.
+    """
+    lo, hi = stepper.t_prev, stepper.t
+    g_lo, g_hi = stepper.x_prev[0], stepper.x[0]
     if g_lo == 0.0:
         # leg started exactly on the surface; treat the start as region-side
         g_lo = region * opts.surface_tol
 
-    # initial guess from the dense interpolant
     def gh(tt):
-        return hermite(t0, x0, f0, t1, x1v, f1v, tt)[0]
+        return interp(tt)[0]
 
     guess = polish_bracketed_root(gh, lo, hi, g_lo, g_hi, residual_tol=0.0) \
-        if g_lo * g_hi < 0.0 else t1
+        if g_lo * g_hi < 0.0 else hi
 
     for _ in range(60):
         stepper.restore(snap)
@@ -489,8 +515,8 @@ def _locate_crossing(stepper: Dopri3, snap, opts, region: int) -> float:
 
 def _resolve_tangency(sys, x, incoming, tol) -> int:
     """Region to continue in after a grazing arrival (0 means slide)."""
-    vplus = sys.combined(0.0, x[1], x[2], 1.0)[0]
-    vminus = sys.combined(0.0, x[1], x[2], -1.0)[0]
+    vplus = sys.f1(0.0, x[1], x[2], 1.0)
+    vminus = sys.f1(0.0, x[1], x[2], -1.0)
     if abs(vplus) <= tol and abs(vminus) <= tol:
         return 0  # two-fold point itself: hand to sliding machinery
     grazing = 1 if abs(vplus) <= tol else -1
@@ -512,7 +538,7 @@ def _sliding_leg(sys, t, x, t_end, opts, traj, rec, incoming: int = -1):
     if prev is None:
         roots = sliding_lambdas(sys, x2, x3)
         if not roots:
-            side = 1 if sys.combined(0.0, x2, x3, 0.0)[0] > 0 else -1
+            side = 1 if sys.f1(0.0, x2, x3, 0.0) > 0 else -1
             return t, (0.0, x2, x3), side
         prev = roots[0]
     cell = [prev]
@@ -543,22 +569,22 @@ def _sliding_leg(sys, t, x, t_end, opts, traj, rec, incoming: int = -1):
             if sys.f1_dlambda(0.0, stepper.x[1], stepper.x[2], lam_new) > 0.0:
                 traj.non_unique = True
             cell[0] = lam_new
-            rec.emit_through(stepper.t, stepper.interpolate, "sliding", lam_at)
+            rec.emit_through(stepper.t, stepper.interpolant, "sliding", lam_at)
             continue
         # exit event: lambda* reached +-1 or the root vanished (fold)
-        step_interp = _hermite_closure(stepper)
+        step_interp = stepper.interpolant()
         t_ev, lam_ev = _locate_sliding_exit(stepper, snap, lam_at, cell)
-        rec.emit_through(t_ev, step_interp, "sliding", lam_at)
+        rec.emit_through(t_ev, lambda: step_interp, "sliding", lam_at)
         x_ev = (0.0, stepper.x[1], stepper.x[2])
         traj.events += 1
         if lam_ev is None:
             lam_probe = cell[0]
-            side = 1 if combined(0.0, x_ev[1], x_ev[2], lam_probe)[0] >= 0 else -1
+            side = 1 if sys.f1(0.0, x_ev[1], x_ev[2], lam_probe) >= 0 else -1
         else:
             side = 1 if lam_ev > 0 else -1
         traj.append(t_ev, x_ev, "sliding", lam_ev if lam_ev is not None else cell[0])
         return stepper.t, x_ev, side
-    rec.emit_through(t_end, stepper.interpolate, "sliding", lam_at)
+    rec.emit_through(t_end, stepper.interpolant, "sliding", lam_at)
     lam_fin = lam_at(stepper.x)
     traj.append(t_end, (0.0, stepper.x[1], stepper.x[2]), "sliding", lam_fin)
     return stepper.t, stepper.x, 0

@@ -145,7 +145,7 @@ def layer_field(sys: PiecewiseSystem, lam: float, x2: float, x3: float) -> float
     """Fast critical subsystem: f1 on the surface, lambda as the layer variable."""
     if not -1.0 - 1e-12 <= lam <= 1.0 + 1e-12:
         raise ValueError(f"lambda must lie in [-1, 1], got {lam!r}")
-    return sys.combined(0.0, x2, x3, lam)[0]
+    return sys.f1(0.0, x2, x3, lam)
 
 
 def dummy_field(sys: PiecewiseSystem, x, lam: float):

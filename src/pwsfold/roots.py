@@ -27,10 +27,11 @@ def real_quadratic_roots(a: float, b: float, c: float) -> tuple[float, ...]:
         return (-0.5 * b / a,)
     r = math.sqrt(disc)
     if b == 0.0:
-        x = r / (2.0 * a)
-        return tuple(sorted((-x, x)))
+        x = abs(r / (2.0 * a))
+        return (-x, x)
     q = -0.5 * (b + math.copysign(r, b))
-    return tuple(sorted((q / a, c / q)))
+    r1, r2 = q / a, c / q
+    return (r2, r1) if r2 < r1 else (r1, r2)
 
 
 def polish_bracketed_root(f, lo: float, hi: float, f_lo: float, f_hi: float,

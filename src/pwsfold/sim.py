@@ -57,7 +57,7 @@ def integrate_smooth(field: Callable, x0, t_end: float,
     rec = _Recorder(traj, opts.dense_output_stride)
     while stepper.t < t_end:
         stepper.step_to(t_end)
-        rec.emit_through(stepper.t, stepper.interpolate)
+        rec.emit_through(stepper.t, stepper.interpolant)
     traj.append(t_end, stepper.x, _mode_of(stepper.x), None)
     return traj
 

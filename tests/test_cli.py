@@ -82,6 +82,27 @@ class TestFoldedAndFit:
             assert rows[0]["relative_difference"][key] < 1e-3
 
 
+class TestAlphaZero:
+    """alpha = 0: no folded points to report and no coefficients to fit."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        return write_json(tmp_path, "nf0.json", {
+            "normal_form": {"a1": 1, "a2": 1, "b1": -2, "b2": -1, "alpha": 0}})
+
+    def test_classify_reports_no_points(self, path, capsys):
+        assert run(["classify", path]) == 0
+        assert json.loads(capsys.readouterr().out)["folded_points"] == []
+
+    def test_folded_reports_no_points(self, path, capsys):
+        assert run(["folded", path]) == 0
+        assert json.loads(capsys.readouterr().out) == []
+
+    def test_fit_exit_2(self, path, capsys):
+        assert run(["fit", path]) == 2
+        assert "alpha != 0" in capsys.readouterr().err
+
+
 class TestManifold:
     def test_lcurve_degenerate_alpha_zero(self, tmp_path):
         path = write_json(tmp_path, "nf0.json", {
@@ -107,6 +128,15 @@ class TestManifold:
         assert float(lam0[0]) == 0.0
         assert float(lam0[1]) == pytest.approx(0.2)
         assert float(lam0[2]) == pytest.approx(-0.2)
+
+    def test_negative_grid_after_space(self, tmp_path):
+        spaced, attached = tmp_path / "s.csv", tmp_path / "a.csv"
+        path = bundled("invisible_db.json")
+        assert run(["manifold", path, "--x2", "-1:1:5", "--x3", "-1:1:5",
+                    "--out", str(spaced)]) == 0
+        assert run(["manifold", path, "--x2=-1:1:5", "--x3=-1:1:5",
+                    "--out", str(attached)]) == 0
+        assert spaced.read_bytes() == attached.read_bytes()
 
     def test_empty_grid_exit_2(self, tmp_path, capsys):
         assert run(["manifold", bundled("invisible_db.json"),
@@ -186,6 +216,23 @@ class TestSimulate:
                     "--x0=-5,0,0", "--x0", "1,0,0", "--out", str(out / "b.csv")])
         assert code == 3
         assert list(out.iterdir()) == []
+
+    def test_negative_x0_after_space(self, tmp_path):
+        spaced, attached = tmp_path / "s.csv", tmp_path / "a.csv"
+        argv = ["examples", "ii", "--mode", "pws", "--t-end", "2"]
+        assert run(argv + ["--x0", "-0.5,0.5,0.5", "--out", str(spaced)]) == 0
+        assert run(argv + ["--x0=-0.5,0.5,0.5", "--out", str(attached)]) == 0
+        assert spaced.read_bytes() == attached.read_bytes()
+        assert spaced.read_text().split("\n")[1].startswith("0,-0.5,")
+
+    def test_ends_at_t_end(self, tmp_path):
+        # 3 * 0.1 rounds to 0.30000000000000004
+        out = tmp_path / "e.csv"
+        assert run(["examples", "ii", "--mode", "pws", "--t-end", "0.3",
+                    "--stride", "0.1", "--out", str(out)]) == 0
+        times = [row.split(",")[0] for row in out.read_text().strip().split("\n")[1:]]
+        assert times == ["0", "0.10000000000000001", "0.20000000000000001",
+                         "0.29999999999999999"]
 
     def test_batch_requires_out(self, capsys):
         assert run(["simulate", bundled("section6_linear.json"),

@@ -1,11 +1,14 @@
 import math
+import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pwsfold as pf
+from pwsfold.cli import load_system_file
 from pwsfold.exceptions import SlidingResidualError
-from pwsfold.pws import PwsOptions
+from pwsfold.pws import PwsOptions, _continued_root
 from pwsfold.twofold import TwoFoldParams, build_normal_form
 
 
@@ -19,6 +22,26 @@ def normal_form(a1=1, a2=1, b1=-2, b2=-1, alpha=0.0):
 # so trajectories actually reach the layer.
 SECTION6_LITERAL = pf.PiecewiseSystem.from_strings(
     ("1", "-1", "0"), ("-1", "-1", "0"), ("0", "2", "0"))
+
+
+SYSTEMS_DIR = os.path.join(os.path.dirname(pf.__file__), "systems")
+BUNDLED = tuple(load_system_file(os.path.join(SYSTEMS_DIR, name)).system
+                for name in sorted(os.listdir(SYSTEMS_DIR)))
+# Section-6 pair with a hidden term linear in lambda: f1 is cubic in lambda.
+LAMBDA_CUBIC = pf.PiecewiseSystem.from_strings(
+    ("-1", "-1", "0"), ("1", "-1", "0"), ("0.2 + 0.1*lambda", "0", "0"))
+
+
+class TestF1:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(BUNDLED + (LAMBDA_CUBIC,)), st.floats(-1, 1),
+           st.floats(-5, 5), st.floats(-5, 5), st.floats(-1, 1))
+    def test_bit_equal_to_combined(self, sys, x1, x2, x3, lam):
+        assert sys.f1(x1, x2, x3, lam).hex() == sys.combined(x1, x2, x3, lam)[0].hex()
+
+    def test_bundled_systems_loaded(self):
+        assert len(BUNDLED) == 8
+        assert LAMBDA_CUBIC.lambda_degree == 3
 
 
 class TestCombination:
@@ -127,6 +150,20 @@ class TestSlidingLambdas:
                 continue
             roots = pf.sliding_lambdas(sys, x2, x3)
             assert any(sys.f1_dlambda(0.0, x2, x3, r) < 0.0 for r in roots)
+
+
+class TestContinuedRoot:
+    def test_tie_picks_the_lower_root(self):
+        # f1 = 0.75 - (1 - lambda^2) = lambda^2 - 1/4: roots -1/2 and 1/2
+        sys = pf.PiecewiseSystem.from_strings(("0.75", "0", "0"), ("0.75", "0", "0"),
+                                              ("-1", "0", "0"))
+        assert pf.sliding_lambdas(sys, 0.0, 0.0) == [-0.5, 0.5]
+        assert _continued_root(sys, 0.0, 0.0, 0.0) == -0.5
+        assert _continued_root(sys, 0.0, 0.0, 0.1) == 0.5
+        assert _continued_root(sys, 0.0, 0.0, -0.1) == -0.5
+
+    def test_no_root(self):
+        assert _continued_root(normal_form(), 1.0, -1.0, 0.0) is None
 
 
 class TestSlidingField:
@@ -291,3 +328,28 @@ def test_trajectory_times_strictly_increasing():
     sys = normal_form(1, 1, -2, -1, 0.2)
     traj = pf.integrate_pws(sys, (0.5, 1.0, 1.0), 5.0)
     assert all(t1 < t2 for t1, t2 in zip(traj.times, traj.times[1:]))
+
+
+class TestRunEnd:
+    def test_ends_at_t_end_with_the_end_state(self):
+        # 3 * 0.1 and 7 * 0.1 round above 0.3 and 0.7
+        sys = pf.example_system("ii")
+        for t_end in (0.3, 0.7):
+            traj = pf.integrate_pws(sys, (0.1, 0.1, 0.1), t_end,
+                                    PwsOptions(dense_output_stride=0.1))
+            sparse = pf.integrate_pws(sys, (0.1, 0.1, 0.1), t_end,
+                                      PwsOptions(dense_output_stride=10.0))
+            assert traj.times[-1] == t_end
+            assert traj.final_state == sparse.final_state
+
+    def test_keeps_an_event_record_that_a_sample_rounds_past(self):
+        sys = pf.PiecewiseSystem.from_strings(("-1", "1", "0"), ("-1", "1", "0"))
+        probe = pf.integrate_pws(sys, (0.3, 0.0, 0.0), 0.5,
+                                 PwsOptions(dense_output_stride=10.0))
+        t_ev = probe.times[probe.modes.index("crossing")]
+        # the first stride sample falls 5e-13 after the crossing
+        traj = pf.integrate_pws(sys, (0.3, 0.0, 0.0), 0.5,
+                                PwsOptions(dense_output_stride=t_ev + 5e-13))
+        i = traj.modes.index("crossing")
+        assert traj.times[i] == t_ev
+        assert traj.states[i] == probe.states[probe.modes.index("crossing")]

@@ -1,0 +1,55 @@
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pwsfold._rk import Dopri3, hermite
+
+
+def cubic(c, t):
+    return c[0] + t * (c[1] + t * (c[2] + t * c[3]))
+
+
+def cubic_slope(c, t):
+    return c[1] + t * (2.0 * c[2] + t * 3.0 * c[3])
+
+
+COEFFS = ((1.0, -2.0, 0.5, 0.25), (0.0, 1.0, -3.0, 2.0), (-0.5, 0.0, 0.0, 1.0))
+
+
+class TestHermite:
+    def test_endpoint_values_and_slopes(self):
+        x0, f0 = (1.0, -2.0, 0.5), (0.3, 4.0, -1.0)
+        x1, f1 = (1.5, -1.0, 0.25), (-0.2, 2.0, 0.5)
+        t0, t1 = 0.5, 0.75
+        at = hermite(t0, x0, f0, t1, x1, f1)
+        assert at(t0) == x0
+        assert at(t1) == pytest.approx(x1, rel=1e-15, abs=1e-15)
+        d = 1e-5
+        for t, f in ((t0, f0), (t1, f1)):
+            slope = [(p - m) / (2 * d) for p, m in zip(at(t + d), at(t - d))]
+            assert slope == pytest.approx(f, rel=1e-8, abs=1e-8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-10, 10), st.floats(0.01, 10), st.floats(0, 1))
+    def test_reproduces_a_cubic(self, t0, h, w):
+        t1 = t0 + h
+        x0 = tuple(cubic(c, t0) for c in COEFFS)
+        x1 = tuple(cubic(c, t1) for c in COEFFS)
+        f0 = tuple(cubic_slope(c, t0) for c in COEFFS)
+        f1 = tuple(cubic_slope(c, t1) for c in COEFFS)
+        t = t0 + w * h
+        scale = 1.0 + max(abs(t0), abs(t1)) ** 3
+        got = hermite(t0, x0, f0, t1, x1, f1)(t)
+        for c, v in zip(COEFFS, got):
+            assert v == pytest.approx(cubic(c, t), abs=1e-12 * scale)
+
+    def test_zero_length_step(self):
+        x1 = (1.0, 2.0, 3.0)
+        assert hermite(2.0, (0.0, 0.0, 0.0), x1, 2.0, x1, x1)(2.0) is x1
+
+    def test_stepper_interpolant_spans_last_step(self):
+        stepper = Dopri3(lambda t, x: (x[1], -x[0], 1.0), 0.0, (1.0, 0.0, 0.0))
+        stepper.step_to(1.0)
+        stepper.step_to(1.0)
+        at = stepper.interpolant()
+        assert at(stepper.t_prev) == stepper.x_prev
+        assert at(stepper.t) == pytest.approx(stepper.x, rel=1e-15, abs=1e-15)

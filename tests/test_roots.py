@@ -22,6 +22,22 @@ class TestQuadratic:
     def test_degenerate_constant(self):
         assert real_quadratic_roots(0.0, 0.0, 2.0) == ()
 
+    def test_ascending_with_negative_leading_coefficient(self):
+        assert real_quadratic_roots(-1.0, 3.0, -2.0) == (1.0, 2.0)
+        assert real_quadratic_roots(-2.0, -2.0, 4.0) == (-2.0, 1.0)
+
+    def test_ascending_without_linear_term(self):
+        assert real_quadratic_roots(1.0, 0.0, -4.0) == (-2.0, 2.0)
+        assert real_quadratic_roots(-1.0, 0.0, 4.0) == (-2.0, 2.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e6, 1e6), st.sampled_from([0.0, 1.0, -1.0]),
+           st.floats(-1e6, 1e6))
+    def test_ascending_property(self, a, b_sign, c):
+        # b = 0 and both signs of a and b, on scaled inputs
+        roots = real_quadratic_roots(a, b_sign * abs(c - a), c)
+        assert list(roots) == sorted(roots)
+
     def test_cancellation_safe_small_root(self):
         # naive (-b + sqrt(b^2-4ac))/(2a) loses the small root to cancellation
         roots = real_quadratic_roots(1.0, 1e8, 1.0)

@@ -122,6 +122,18 @@ class TestRunExample:
         assert in_layer
         assert all(lam is not None and abs(lam) <= 1.0 for lam in in_layer)
 
+    def test_ends_at_t_end_with_the_end_state(self):
+        # 3 * 0.1 and 7 * 0.1 round above 0.3 and 0.7
+        sys = pf.example_system("ii")
+        s = pf.builtin_sigmoid("tanh")
+        for t_end in (0.3, 0.7):
+            traj = regularized_trajectory(sys, s, 1e-3, (0.1, 0.1, 0.1), t_end,
+                                          IntegratorOptions(dense_output_stride=0.1))
+            sparse = regularized_trajectory(sys, s, 1e-3, (0.1, 0.1, 0.1), t_end,
+                                            IntegratorOptions(dense_output_stride=10.0))
+            assert traj.times[-1] == t_end
+            assert traj.final_state == sparse.final_state
+
     def test_fine_scale_flag_path(self):
         # the full-scale settings (eps down to 1e-5) stay usable; short
         # horizon keeps this cheap

@@ -1,0 +1,104 @@
+"""Print `name sha256` for a fixed set of pwsfold outputs.
+
+    python3 tools/output_digest.py
+
+Run from anywhere; the package is imported from this checkout's src/. The
+outputs are the trajectory CSVs of event-driven runs on every bundled system,
+on a system whose f1 is cubic in lambda and on two invisible_db starts that
+slide into repelling sliding; regularized runs of examples i-iii at eps 1e-3
+with each built-in sigmoid; a manifold CSV; and the JSON that the CLI's
+classify, fit and folded commands write for the bundled normal forms. An
+empty `diff` of the printouts of two checkouts shows that these outputs are
+byte-identical. Stdlib only; takes about 5 s on one core of a 2-core x86
+host (Python 3.11).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import tempfile
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
+
+from pwsfold import cli, sim  # noqa: E402
+from pwsfold.pws import PiecewiseSystem, integrate_pws  # noqa: E402
+
+# (bundled system, start, t_end): the bases of the benchmark's event-driven
+# cases, and its two starts that slide through the two-fold of invisible_db.
+PWS_CASES = (
+    ("example_i", (0.1, -0.5, 0.5), 50.0),
+    ("example_i", (-0.3, -0.3, 0.8), 50.0),
+    ("example_ii", (0.1, -0.5, 0.5), 50.0),
+    ("example_ii", (-0.5, 0.5, 0.5), 50.0),
+    ("example_ii", (0.5, 1.0, 1.0), 50.0),
+    ("example_iii", (-0.3, -0.3, 0.8), 50.0),
+    ("invisible_db", (0.1, 0.1, 0.1), 50.0),
+    ("mixed_db", (0.1, 0.1, 0.1), 50.0),
+    ("mixed_db", (0.5, 1.0, 1.0), 50.0),
+    ("visible_db", (0.1, 0.1, 0.1), 50.0),
+    ("section6_linear", (0.1, 0.1, 0.1), 50.0),
+    ("section6_nonlinear", (0.1, 0.1, 0.1), 50.0),
+    ("invisible_db", (0.5084476707878112, 1.0174576234719783, 0.9968842799984566),
+     4.652057),
+    ("invisible_db", (-0.4957, 0.5032, 0.4863), 2.087855),
+)
+# Section-6 pair with a hidden term cubic in lambda (the root-scan path).
+CUBIC_SYSTEM = (("-1", "-1", "0"), ("1", "-1", "0"), ("0.2 + 0.1*lambda", "0", "0"))
+NORMAL_FORMS = ("invisible_db", "visible_db", "mixed_db")
+
+
+def _system_path(name: str) -> str:
+    return os.path.join(SRC, "pwsfold", "systems", f"{name}.json")
+
+
+def _sha(data: str | bytes) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cli_output(argv, out: str) -> bytes:
+    code = cli.main(argv + ["--out", out])
+    with open(out, "rb") as fh:
+        return f"exit={code}\n".encode() + fh.read()
+
+
+def digests():
+    """Yield (name, sha256) pairs in a fixed order."""
+    for name, x0, t_end in PWS_CASES:
+        system = cli.load_system_file(_system_path(name)).system
+        traj = integrate_pws(system, x0, t_end)
+        yield (f"pws/{name}/x0={x0[0]!r},{x0[1]!r},{x0[2]!r}/t={t_end!r}",
+               _sha(sim.trajectory_csv(traj)))
+    traj = integrate_pws(PiecewiseSystem.from_strings(*CUBIC_SYSTEM), (0.5, 0.0, 0.0), 8.0)
+    yield "pws/lambda_cubic/t=8", _sha(sim.trajectory_csv(traj))
+
+    for which in sim.EXAMPLE_NAMES:
+        for sigmoid in ("tanh", "algebraic", "cubic"):
+            traj = sim.run_example(which, 1e-3, 20.0, sigmoid)
+            yield f"regularized/{which}/{sigmoid}/eps=0.001/t=20", _sha(sim.trajectory_csv(traj))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        manifold = _cli_output(["manifold", _system_path("invisible_db"),
+                                "--x2=-1:1:41", "--x3=-1:1:41"], out)
+        with open(out + ".lcurve.csv", "rb") as fh:
+            manifold += fh.read()
+        yield "cli/manifold/invisible_db", _sha(manifold)
+        for name in NORMAL_FORMS:
+            for command in ("classify", "fit", "folded"):
+                yield (f"cli/{command}/{name}",
+                       _sha(_cli_output([command, _system_path(name)], out)))
+
+
+def main() -> int:
+    for name, digest in digests():
+        print(name, digest)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
