@@ -61,14 +61,15 @@ def hermite(t0, x0, f0, t1, x1, f1):
 class Dopri3:
     """One 3-component Dormand-Prince integrator with snapshot/rewind.
 
-    field(t, x) must return a tuple of 3 floats. step_cap, when given, is
-    called as step_cap(t, x, f) with the current field value and returns an
-    additional upper bound on the step size (or None).
+    field(t, x) must return a tuple of 3 floats. layer_eps, when given, caps
+    a step that starts in the layer |x1| < 10 layer_eps at layer_eps / |f|,
+    f being the field at the step's start: the bound that keeps the fast
+    layer contraction inside the explicit method's stability region.
     """
 
     def __init__(self, field, t0: float, x0, *, rtol: float = 1e-8,
                  atol: float = 1e-10, max_step: float = math.inf,
-                 max_steps: int = 50_000_000, step_cap=None):
+                 max_steps: int = 50_000_000, layer_eps: float | None = None):
         self.field = field
         self.t = float(t0)
         self.x = (float(x0[0]), float(x0[1]), float(x0[2]))
@@ -77,7 +78,7 @@ class Dopri3:
         self.atol = atol
         self.max_step = max_step
         self.max_steps = max_steps
-        self.step_cap = step_cap
+        self.layer_eps = layer_eps
         self.nsteps = 0
         self.h = self._initial_step()
         # previous accepted endpoint, for interpolation and event rewind
@@ -109,71 +110,79 @@ class Dopri3:
 
     # -- stepping -----------------------------------------------------------
 
-    def _attempt(self, h: float):
-        """Try one step of size h; returns (x_new, f_new, err_norm)."""
-        f = self.field
-        t, (y1, y2, y3) = self.t, self.x
-        k11, k12, k13 = self.f
-
-        a = h * A21
-        k21, k22, k23 = f(t + C2 * h, (y1 + a * k11, y2 + a * k12, y3 + a * k13))
-        k31, k32, k33 = f(t + C3 * h, (y1 + h * (A31 * k11 + A32 * k21),
-                                       y2 + h * (A31 * k12 + A32 * k22),
-                                       y3 + h * (A31 * k13 + A32 * k23)))
-        k41, k42, k43 = f(t + C4 * h, (y1 + h * (A41 * k11 + A42 * k21 + A43 * k31),
-                                       y2 + h * (A41 * k12 + A42 * k22 + A43 * k32),
-                                       y3 + h * (A41 * k13 + A42 * k23 + A43 * k33)))
-        k51, k52, k53 = f(t + C5 * h,
-                          (y1 + h * (A51 * k11 + A52 * k21 + A53 * k31 + A54 * k41),
-                           y2 + h * (A51 * k12 + A52 * k22 + A53 * k32 + A54 * k42),
-                           y3 + h * (A51 * k13 + A52 * k23 + A53 * k33 + A54 * k43)))
-        k61, k62, k63 = f(t + h,
-                          (y1 + h * (A61 * k11 + A62 * k21 + A63 * k31 + A64 * k41 + A65 * k51),
-                           y2 + h * (A61 * k12 + A62 * k22 + A63 * k32 + A64 * k42 + A65 * k52),
-                           y3 + h * (A61 * k13 + A62 * k23 + A63 * k33 + A64 * k43 + A65 * k53)))
-        z1 = y1 + h * (B1 * k11 + B3 * k31 + B4 * k41 + B5 * k51 + B6 * k61)
-        z2 = y2 + h * (B1 * k12 + B3 * k32 + B4 * k42 + B5 * k52 + B6 * k62)
-        z3 = y3 + h * (B1 * k13 + B3 * k33 + B4 * k43 + B5 * k53 + B6 * k63)
-        k71, k72, k73 = f(t + h, (z1, z2, z3))
-
-        e1 = h * (E1 * k11 + E3 * k31 + E4 * k41 + E5 * k51 + E6 * k61 + E7 * k71)
-        e2 = h * (E1 * k12 + E3 * k32 + E4 * k42 + E5 * k52 + E6 * k62 + E7 * k72)
-        e3 = h * (E1 * k13 + E3 * k33 + E4 * k43 + E5 * k53 + E6 * k63 + E7 * k73)
-
-        s1 = self.atol + self.rtol * max(abs(y1), abs(z1))
-        s2 = self.atol + self.rtol * max(abs(y2), abs(z2))
-        s3 = self.atol + self.rtol * max(abs(y3), abs(z3))
-        err = math.sqrt(((e1 / s1) ** 2 + (e2 / s2) ** 2 + (e3 / s3) ** 2) / 3.0)
-        return (z1, z2, z3), (k71, k72, k73), err
-
     def step_to(self, t_bound: float) -> None:
-        """Advance by one accepted step, not crossing t_bound."""
-        tiny = 16.0 * math.ulp(max(abs(self.t), 1.0))
-        if t_bound - self.t <= 2.0 * tiny:
-            if t_bound > self.t:
+        """Advance by one accepted step, not crossing t_bound.
+
+        Each attempt makes 6 field calls (the first stage is the last one of
+        the previous step) and counts in nsteps before its first call.
+        """
+        t = self.t
+        tiny = 16.0 * math.ulp(max(abs(t), 1.0))
+        if t_bound - t <= 2.0 * tiny:
+            if t_bound > t:
                 self.t = t_bound  # sub-resolution gap: declare arrival
             return
-        h = min(self.h, self.max_step, t_bound - self.t)
-        if self.step_cap is not None:
-            cap = self.step_cap(self.t, self.x, self.f)
-            if cap is not None and cap < h:
-                h = cap
+        h = min(self.h, self.max_step, t_bound - t)
+        y1, y2, y3 = self.x
+        k11, k12, k13 = self.f
+        eps = self.layer_eps
+        if eps is not None and abs(y1) < 10.0 * eps:
+            fn = math.sqrt(k11 * k11 + k12 * k12 + k13 * k13)
+            if fn > 0 and eps / fn < h:
+                h = eps / fn
+        f = self.field
+        rtol, atol = self.rtol, self.atol
+        ay1, ay2, ay3 = abs(y1), abs(y2), abs(y3)
+        isfinite = math.isfinite
+        n, max_steps = self.nsteps, self.max_steps
         while True:
-            if self.nsteps >= self.max_steps:
-                raise StepBudgetError(f"exceeded max_steps={self.max_steps}")
+            if n >= max_steps:
+                raise StepBudgetError(f"exceeded max_steps={max_steps}")
             if h < tiny:
-                raise StepUnderflowError(f"step size underflow at t={self.t!r}")
-            self.nsteps += 1
-            x_new, f_new, err = self._attempt(h)
-            if err <= 1.0 and all(math.isfinite(v) for v in x_new):
+                raise StepUnderflowError(f"step size underflow at t={t!r}")
+            n += 1
+            self.nsteps = n
+
+            a = h * A21
+            k21, k22, k23 = f(t + C2 * h, (y1 + a * k11, y2 + a * k12, y3 + a * k13))
+            k31, k32, k33 = f(t + C3 * h, (y1 + h * (A31 * k11 + A32 * k21),
+                                           y2 + h * (A31 * k12 + A32 * k22),
+                                           y3 + h * (A31 * k13 + A32 * k23)))
+            k41, k42, k43 = f(t + C4 * h, (y1 + h * (A41 * k11 + A42 * k21 + A43 * k31),
+                                           y2 + h * (A41 * k12 + A42 * k22 + A43 * k32),
+                                           y3 + h * (A41 * k13 + A42 * k23 + A43 * k33)))
+            k51, k52, k53 = f(t + C5 * h,
+                              (y1 + h * (A51 * k11 + A52 * k21 + A53 * k31 + A54 * k41),
+                               y2 + h * (A51 * k12 + A52 * k22 + A53 * k32 + A54 * k42),
+                               y3 + h * (A51 * k13 + A52 * k23 + A53 * k33 + A54 * k43)))
+            k61, k62, k63 = f(t + h,
+                              (y1 + h * (A61 * k11 + A62 * k21 + A63 * k31 + A64 * k41 + A65 * k51),
+                               y2 + h * (A61 * k12 + A62 * k22 + A63 * k32 + A64 * k42 + A65 * k52),
+                               y3 + h * (A61 * k13 + A62 * k23 + A63 * k33 + A64 * k43 + A65 * k53)))
+            z1 = y1 + h * (B1 * k11 + B3 * k31 + B4 * k41 + B5 * k51 + B6 * k61)
+            z2 = y2 + h * (B1 * k12 + B3 * k32 + B4 * k42 + B5 * k52 + B6 * k62)
+            z3 = y3 + h * (B1 * k13 + B3 * k33 + B4 * k43 + B5 * k53 + B6 * k63)
+            k71, k72, k73 = f(t + h, (z1, z2, z3))
+
+            e1 = h * (E1 * k11 + E3 * k31 + E4 * k41 + E5 * k51 + E6 * k61 + E7 * k71)
+            e2 = h * (E1 * k12 + E3 * k32 + E4 * k42 + E5 * k52 + E6 * k62 + E7 * k72)
+            e3 = h * (E1 * k13 + E3 * k33 + E4 * k43 + E5 * k53 + E6 * k63 + E7 * k73)
+            # the larger of |y| and |z|, |y| on a tie or a NaN, as max() picks
+            az1, az2, az3 = abs(z1), abs(z2), abs(z3)
+            s1 = atol + rtol * (az1 if az1 > ay1 else ay1)
+            s2 = atol + rtol * (az2 if az2 > ay2 else ay2)
+            s3 = atol + rtol * (az3 if az3 > ay3 else ay3)
+            err = math.sqrt(((e1 / s1) ** 2 + (e2 / s2) ** 2 + (e3 / s3) ** 2) / 3.0)
+
+            if not (isfinite(z1) and isfinite(z2) and isfinite(z3)):
+                h *= 0.25
+            elif err <= 1.0:
                 factor = _MAX_FACTOR if err == 0.0 else min(
                     _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
-                self.t_prev, self.x_prev, self.f_prev = self.t, self.x, self.f
-                self.t, self.x, self.f = self.t + h, x_new, f_new
+                self.t_prev, self.x_prev, self.f_prev = t, self.x, self.f
+                self.t, self.x, self.f = t + h, (z1, z2, z3), (k71, k72, k73)
                 self.h = min(h * factor, self.max_step)
                 return
-            if not all(math.isfinite(v) for v in x_new):
-                h *= 0.25
             else:
                 h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
 

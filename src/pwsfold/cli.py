@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys as _sys
 from dataclasses import dataclass
@@ -222,8 +223,8 @@ def _simulate_one(sf: SystemFile, args, x0) -> Trajectory:
     if args.mode == "regularized":
         if args.eps is None:
             raise ValidationError("--eps: required in regularized mode")
-        if args.eps <= 0:
-            raise ValidationError("--eps: must be positive")
+        if not 0.0 < args.eps < math.inf:
+            raise ValidationError("--eps: must be positive and finite")
         return sim.regularized_trajectory(sf.system, builtin_sigmoid(args.sigmoid),
                                           args.eps, x0, args.t_end, opts)
     return integrate_pws(sf.system, x0, args.t_end, opts)
@@ -231,8 +232,8 @@ def _simulate_one(sf: SystemFile, args, x0) -> Trajectory:
 
 def cmd_simulate(args) -> int:
     sf = load_system_file(args.file)
-    if args.t_end <= 0:
-        raise ValidationError("--t-end: must be positive")
+    if not 0.0 < args.t_end < math.inf:
+        raise ValidationError("--t-end: must be positive and finite")
     x0s = [_parse_x0(s) for s in args.x0] or [(0.1, 0.1, 0.1)]
     if len(x0s) > 1 and (args.out is None or args.out == "-"):
         raise ValidationError("--out: required when several --x0 are given")

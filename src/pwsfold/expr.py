@@ -180,8 +180,11 @@ class _Parser:
     def atom(self) -> Expression:
         kind, text, pos = self.peek()
         if kind == "number":
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text!r} is not finite", pos)
             self.advance()
-            return Const(float(text))
+            return Const(value)
         if kind == "ident":
             self.advance()
             if self.peek()[0] == "(":
@@ -442,42 +445,111 @@ _FUNC_SOURCE = {
 }
 
 
-def _py_source(e: Expression) -> str:
+def _py_source(e: Expression, sub: Callable[[Expression], str] | None = None) -> str:
+    """Python source of e; sub prints its operands (default: this printer)."""
+    sub = sub or _py_source
     if isinstance(e, Const):
         return f"({e.value!r})"  # ** binds tighter than unary minus
     if isinstance(e, Var):
         return "lam" if e.name == "lambda" else e.name
     if isinstance(e, Neg):
-        return f"(-{_py_source(e.arg)})"
+        return f"(-{sub(e.arg)})"
     if isinstance(e, BinOp):
-        return f"({_py_source(e.left)} {e.op} {_py_source(e.right)})"
+        return f"({sub(e.left)} {e.op} {sub(e.right)})"
     if isinstance(e, Pow):
-        return f"({_py_source(e.base)} ** {e.exponent})"
+        return f"({sub(e.base)} ** {e.exponent})"
     if isinstance(e, Call):
-        return f"{_FUNC_SOURCE[e.func]}({_py_source(e.arg)})"
+        return f"{_FUNC_SOURCE[e.func]}({sub(e.arg)})"
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _operands(e: Expression) -> tuple[Expression, ...]:
+    if isinstance(e, BinOp):
+        return (e.left, e.right)
+    if isinstance(e, (Neg, Call)):
+        return (e.arg,)
+    if isinstance(e, Pow):
+        return (e.base,)
+    return ()
+
+
+def _shared_source(exprs) -> list[str]:
+    """Python sources of exprs that compute each repeated subexpression once.
+
+    A compound subexpression whose source text a left-to-right evaluation
+    meets more than once (not counting repeats inside a repeat) is assigned
+    to a local _c<n> where it first occurs, with ':=', and read back at the
+    later occurrences. Every operation is still done in the same order on
+    the same operands, so values and raised errors are unchanged. Keyed on
+    text, not on node equality: Const(0.0) == Const(-0.0).
+    """
+    texts: dict[int, str] = {}  # by node identity: trees share subtrees
+
+    def text_of(e):
+        key = id(e)
+        if key not in texts:
+            texts[key] = _py_source(e, text_of)
+        return texts[key]
+
+    seen: set[str] = set()
+    repeated: set[str] = set()
+
+    def count(e):
+        if not _operands(e):  # a constant or a variable
+            return
+        text = text_of(e)
+        if text in seen:
+            repeated.add(text)
+            return
+        seen.add(text)
+        for operand in _operands(e):
+            count(operand)
+
+    names: dict[str, str] = {}
+
+    def emit(e):
+        text = text_of(e)
+        if text in names:
+            return names[text]
+        source = _py_source(e, emit)
+        if text in repeated:
+            names[text] = name = f"_c{len(names)}"
+            source = f"({name} := {source})"
+        return source
+
+    for e in exprs:
+        count(e)
+    return [emit(e) for e in exprs]
 
 
 _PRELUDE = "_sin=math.sin, _cos=math.cos, _tanh=math.tanh, _sqrt=math.sqrt"
 
 
-def _generate(exprs, lam_source: str | None = None) -> Callable:
+def _generate(exprs, layer: tuple[str, str] | None = None) -> Callable:
     """Compile one expression, or a tuple of them, into a Python function.
 
     A tuple compiles to a tuple-valued function. The arguments are
-    (x1, x2, x3, lam), or, given lam_source, (t, x) as an integrator field
-    that unpacks x into x1, x2, x3 and binds lam to that source.
+    (x1, x2, x3, lam), or, given layer = (u_source, lam_source), (t, x) as
+    an integrator field: it unpacks x into x1, x2, x3, binds _u to u_source
+    and then lam to lam_source, and computes each repeated subexpression
+    once (_shared_source), as a field called 6 times per Runge-Kutta attempt
+    repays. The other functions are compiled often and called a few times
+    each, so they keep the plain printer.
     """
-    if isinstance(exprs, tuple):
-        result = "(" + ", ".join(_py_source(c) for c in exprs) + ")"
-    else:
-        result = _py_source(exprs)
-    if lam_source is None:
+    items = exprs if isinstance(exprs, tuple) else (exprs,)
+    if layer is None:
+        sources = [_py_source(e) for e in items]
         head = f"def _f(x1, x2, x3, lam, {_PRELUDE}):\n"
     else:
+        sources = _shared_source(items)
         head = (f"def _f(t, x, {_PRELUDE}):\n"
                 "    x1, x2, x3 = x\n"
-                f"    lam = {lam_source}\n")
+                f"    _u = {layer[0]}\n"
+                f"    lam = {layer[1]}\n")
+    if isinstance(exprs, tuple):
+        result = "(" + ", ".join(sources) + ")"
+    else:
+        result = sources[0]
     ns: dict = {"math": math}
     exec(f"{head}    return {result}\n", ns)
     return ns["_f"]

@@ -300,8 +300,10 @@ class Trajectory:
 class IntegratorOptions:
     """Tolerances, budgets and dense output for both integrators.
 
-    layer_eps enables the smooth integrator's step cap near the layer;
-    max_events, surface_tol and residual_tol act in event-driven runs only.
+    dense_output_stride (the spacing of dense samples) must be positive
+    and finite. layer_eps enables the smooth integrator's step cap near the
+    layer; max_events, surface_tol and residual_tol act in event-driven runs
+    only.
     """
 
     rel_tol: float = 1e-8
@@ -319,6 +321,8 @@ class IntegratorOptions:
             raise ValueError("tolerances must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
+        if not 0.0 < self.dense_output_stride < math.inf:
+            raise ValueError("dense_output_stride must be positive and finite")
 
 
 PwsOptions = IntegratorOptions
@@ -399,9 +403,10 @@ def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
     tracked continuously. Sliding exits when lambda* reaches +-1 (or the
     sliding root disappears at a fold) and hands over to the free flow.
     Repelling sliding continues but sets the trajectory's non_unique flag.
+    t_end must be positive and finite.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
     opts = opts or IntegratorOptions()
     traj = Trajectory()
     rec = _Recorder(traj, opts.dense_output_stride)

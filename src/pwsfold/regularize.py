@@ -46,7 +46,7 @@ class Sigmoid:
     second_derivative: Callable[[float], float]
     inverse: Callable[[float], float]
     exactly_saturates: bool
-    inline: str  # python source template with {u} placeholder
+    inline: str  # python source template with {u} placeholder; may call _tanh, _sqrt
 
 
 def _cubic_value(u: float) -> float:
@@ -88,7 +88,7 @@ _TANH = Sigmoid(
     second_derivative=lambda u: -2.0 * math.tanh(u) * (1.0 - math.tanh(u) ** 2),
     inverse=math.atanh,
     exactly_saturates=False,
-    inline="math.tanh({u})",
+    inline="_tanh({u})",
 )
 
 _ALGEBRAIC = Sigmoid(
@@ -98,7 +98,7 @@ _ALGEBRAIC = Sigmoid(
     second_derivative=lambda u: -3.0 * u * (1.0 + u * u) ** -2.5,
     inverse=_algebraic_inverse,
     exactly_saturates=False,
-    inline="(({u}) / math.sqrt(1.0 + ({u}) * ({u})))",
+    inline="(({u}) / _sqrt(1.0 + ({u}) * ({u})))",
 )
 
 _CUBIC = Sigmoid(
@@ -136,9 +136,15 @@ def regularized_field(sys: PiecewiseSystem, s: Sigmoid, eps: float, x):
 
 
 def compile_regularized_field(sys: PiecewiseSystem, s: Sigmoid, eps: float):
-    """Fast (t, x) -> (f1, f2, f3) callable with the sigmoid inlined."""
-    lam_src = s.inline.format(u=f"(x1 * {1.0 / eps!r})")
-    return ex._generate(sys.combined_expressions, lam_src)
+    """Fast (t, x) -> (f1, f2, f3) callable with the sigmoid inlined.
+
+    eps must be positive and finite, and so must 1/eps, which is written
+    into the generated source.
+    """
+    if not (0.0 < eps < math.inf and 1.0 / eps < math.inf):
+        raise ValueError(f"eps must be positive and finite, with 1/eps finite; got {eps!r}")
+    return ex._generate(sys.combined_expressions,
+                        (f"x1 * {1.0 / eps!r}", s.inline.format(u="_u")))
 
 
 def layer_field(sys: PiecewiseSystem, lam: float, x2: float, x3: float) -> float:

@@ -2,9 +2,9 @@
 
 The integrator is an explicit adaptive Runge-Kutta pair; stiffness from the
 regularization layer is handled by capping the step near |x1| < 10 eps at
-eps / |f|, which keeps the layer contraction inside the stability region
-without an implicit method. Both integrators take IntegratorOptions
-(pws.PwsOptions is the same class).
+eps / |f| (Dopri3's layer_eps), which keeps the layer contraction inside
+the stability region without an implicit method. Both integrators take
+IntegratorOptions (pws.PwsOptions is the same class).
 """
 
 from __future__ import annotations
@@ -29,35 +29,27 @@ __all__ = [
 
 def integrate_smooth(field: Callable, x0, t_end: float,
                      opts: IntegratorOptions | None = None) -> Trajectory:
-    """Integrate dx/dt = field(t, x) from x0 to t_end with dense output.
+    """Integrate dx/dt = field(t, x) from x0 to a finite t_end > 0 with
+    dense output.
 
-    Sample modes are 'free+'/'free-' by the sign of x1. Configure
-    opts.layer_eps to enable the stiffness cap near the layer; use
-    regularized_trajectory to also record the layer value of lambda.
+    Sample modes are 'free+'/'free-' by the sign of x1. opts.layer_eps, when
+    set, is the stepper's layer_eps: steps that start at |x1| < 10 layer_eps
+    are capped at layer_eps / |f|. Use regularized_trajectory to also record
+    the layer value of lambda.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
     opts = opts or IntegratorOptions()
-    eps = opts.layer_eps
-    cap = None
-    if eps is not None:
-        window = 10.0 * eps
-
-        def cap(t, x, f, _eps=eps, _window=window):
-            if abs(x[0]) >= _window:
-                return None
-            fn = math.sqrt(f[0] * f[0] + f[1] * f[1] + f[2] * f[2])
-            return _eps / fn if fn > 0 else None
-
     stepper = Dopri3(field, 0.0, x0, rtol=opts.rel_tol, atol=opts.abs_tol,
                      max_step=opts.max_step, max_steps=opts.max_steps,
-                     step_cap=cap)
+                     layer_eps=opts.layer_eps)
     traj = Trajectory()
     traj.append(0.0, stepper.x, _mode_of(stepper.x), None)
-    rec = _Recorder(traj, opts.dense_output_stride)
+    emit = _Recorder(traj, opts.dense_output_stride).emit_through
+    step_to, interpolant = stepper.step_to, stepper.interpolant
     while stepper.t < t_end:
-        stepper.step_to(t_end)
-        rec.emit_through(stepper.t, stepper.interpolant)
+        step_to(t_end)
+        emit(stepper.t, interpolant)
     traj.append(t_end, stepper.x, _mode_of(stepper.x), None)
     return traj
 
@@ -65,13 +57,15 @@ def integrate_smooth(field: Callable, x0, t_end: float,
 def regularized_trajectory(sys: PiecewiseSystem, s: Sigmoid, eps: float,
                            x0, t_end: float,
                            opts: IntegratorOptions | None = None) -> Trajectory:
-    """Integrate the regularized system and record the layer value of lambda."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    """Integrate the regularized system and record the layer value of lambda.
+
+    eps must be positive and finite, and so must 1/eps
+    (compile_regularized_field raises ValueError otherwise).
+    """
+    field = compile_regularized_field(sys, s, eps)
     opts = opts or IntegratorOptions()
     if opts.layer_eps is None:
         opts = replace(opts, layer_eps=eps)
-    field = compile_regularized_field(sys, s, eps)
     traj = integrate_smooth(field, x0, t_end, opts)
     # fill the lambda column where the sample sits in the layer
     for i, state in enumerate(traj.states):

@@ -4,7 +4,7 @@ import os
 import jsonschema
 import pytest
 
-from pwsfold import cli
+from pwsfold import cli, sim
 
 SYSTEMS_DIR = os.path.join(os.path.dirname(cli.__file__), "systems")
 SCHEMA_PATH = os.path.join(os.path.dirname(cli.__file__), "schemas",
@@ -233,6 +233,27 @@ class TestSimulate:
         times = [row.split(",")[0] for row in out.read_text().strip().split("\n")[1:]]
         assert times == ["0", "0.10000000000000001", "0.20000000000000001",
                          "0.29999999999999999"]
+
+    @pytest.mark.parametrize("stride", ["0", "-0.01", "nan"])
+    def test_bad_stride_exit_2(self, tmp_path, capsys, stride):
+        # options first: a stride they accept would hang the run below
+        with pytest.raises(ValueError):
+            sim.IntegratorOptions(dense_output_stride=float(stride))
+        out = tmp_path / "s.csv"
+        assert run(["examples", "ii", "--mode", "pws", "--t-end", "1",
+                    "--stride", stride, "--out", str(out)]) == 2
+        assert "dense_output_stride" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--eps", "nan"], ["--eps", "inf"],
+                                       ["--eps", "1e-320"],
+                                       ["--eps", "1e-3", "--t-end", "nan"],
+                                       ["--eps", "1e-3", "--t-end", "inf"]])
+    def test_non_finite_eps_or_t_end_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "e.csv"
+        assert run(["examples", "ii", *flags, "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_batch_requires_out(self, capsys):
         assert run(["simulate", bundled("section6_linear.json"),

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from pwsfold import expr
 from pwsfold.exceptions import EvaluationError, ParseError
+from pwsfold.regularize import builtin_sigmoid, compile_regularized_field
+from pwsfold.sim import example_system
 
 
 def ev(text, x1=0.0, x2=0.0, x3=0.0, lam=0.0):
@@ -225,3 +227,57 @@ def test_compiled_matches_interpreter():
         if want is None:
             continue
         assert fn(*b) == pytest.approx(want, rel=1e-15, abs=1e-300)
+
+
+def test_non_finite_literal_rejected():
+    for text in ("1e400*x1", "x2 - 1e999"):
+        with pytest.raises(ParseError, match="not finite"):
+            expr.parse_expression(text)
+
+
+class TestIntegratorField:
+    """expr._generate given a layer: the field the Runge-Kutta stepper calls."""
+
+    COMPONENTS = ("sin(x1) + x2", "sin(x1) * x3", "2*sin(x1)")
+
+    def test_repeated_subexpression_computed_once(self):
+        exprs = tuple(expr.parse_expression(c) for c in self.COMPONENTS)
+        calls = []
+
+        def counting_sin(v):
+            calls.append(v)
+            return math.sin(v)
+
+        field = expr._generate(exprs, ("x1", "_u"))
+        s = math.sin(0.5)
+        assert field(0.0, (0.5, 2.0, 3.0), _sin=counting_sin) == (s + 2.0, s * 3.0, 2.0 * s)
+        assert calls == [0.5]
+        # plain compiled fields keep one call per occurrence
+        calls.clear()
+        expr.compile_field(exprs)(0.5, 2.0, 3.0, 0.0, _sin=counting_sin)
+        assert calls == [0.5, 0.5, 0.5]
+
+    def test_signed_zero_constants_stay_apart(self):
+        # Const(0.0) == Const(-0.0), but x2 * 0.0 and x2 * -0.0 differ in sign
+        x2 = expr.Var("x2")
+        exprs = (expr.BinOp("*", x2, expr.Const(0.0)),
+                 expr.BinOp("*", x2, expr.Const(-0.0)), x2)
+        out = expr._generate(exprs, ("x1", "_u"))(0.0, (0.0, 1.0, 0.0))
+        assert [v.hex() for v in out] == ["0x0.0p+0", "-0x0.0p+0", "0x1.0000000000000p+0"]
+
+
+_STATE = st.floats(-3.0, 3.0)
+
+
+@pytest.mark.parametrize("which", ["i", "ii", "iii"])
+@pytest.mark.parametrize("sigmoid", ["tanh", "algebraic", "cubic"])
+@settings(max_examples=60, deadline=None)
+@given(x1=st.one_of(_STATE, st.floats(-0.02, 0.02)), x2=_STATE, x3=_STATE,
+       eps=st.sampled_from([1e-3, 3e-4, 1e-5]))
+def test_regularized_field_bit_equal_to_interpreter(which, sigmoid, x1, x2, x3, eps):
+    sys = example_system(which)
+    s = builtin_sigmoid(sigmoid)
+    got = compile_regularized_field(sys, s, eps)(0.0, (x1, x2, x3))
+    lam = s.value(x1 * (1.0 / eps))
+    want = tuple(expr.evaluate(c, x1, x2, x3, lam) for c in sys.combined_expressions)
+    assert [v.hex() for v in got] == [v.hex() for v in want]

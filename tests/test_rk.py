@@ -1,7 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pwsfold._rk import Dopri3, hermite
+from pwsfold.regularize import builtin_sigmoid, compile_regularized_field
+from pwsfold.sim import example_system
 
 
 def cubic(c, t):
@@ -53,3 +57,48 @@ class TestHermite:
         at = stepper.interpolant()
         assert at(stepper.t_prev) == stepper.x_prev
         assert at(stepper.t) == pytest.approx(stepper.x, rel=1e-15, abs=1e-15)
+
+
+def counted(field):
+    """field wrapped with a call counter, read as calls[0]."""
+    calls = [0]
+
+    def wrapped(t, x):
+        calls[0] += 1
+        return field(t, x)
+
+    return wrapped, calls
+
+
+def layer_stepper(layer_eps):
+    # example iii at eps 1e-3 reaches the layer by t = 20
+    field = compile_regularized_field(example_system("iii"),
+                                      builtin_sigmoid("tanh"), 1e-3)
+    wrapped, calls = counted(field)
+    return Dopri3(wrapped, 0.0, (0.1, 0.1, 0.1), layer_eps=layer_eps), calls
+
+
+class TestStepper:
+    @pytest.mark.parametrize("layer_eps", [None, 1e-3])
+    def test_field_calls_are_one_plus_six_per_attempt(self, layer_eps):
+        stepper, calls = layer_stepper(layer_eps)
+        accepted = 0
+        while stepper.t < 20.0:
+            stepper.step_to(20.0)
+            accepted += 1
+        assert stepper.nsteps > accepted  # the run has rejected attempts
+        assert calls[0] == 1 + 6 * stepper.nsteps
+
+    def test_layer_eps_caps_steps_in_the_layer(self):
+        eps = 1e-3
+        stepper, _ = layer_stepper(eps)
+        capped = 0
+        while stepper.t < 20.0:
+            t, (x1, _, _), (f1, f2, f3) = stepper.t, stepper.x, stepper.f
+            stepper.step_to(20.0)
+            if abs(x1) < 10.0 * eps:
+                capped += 1
+                cap = eps / math.sqrt(f1 * f1 + f2 * f2 + f3 * f3)
+                # t + h rounds to the ulp of t
+                assert stepper.t - t <= cap + math.ulp(stepper.t)
+        assert capped > 100

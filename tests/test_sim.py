@@ -3,9 +3,11 @@ import math
 import pytest
 
 import pwsfold as pf
+from pwsfold.regularize import compile_regularized_field
 from pwsfold.sim import (IntegratorOptions, compare_trajectories,
-                         integrate_smooth, regularized_trajectory,
-                         run_example, section6_system, trajectory_csv)
+                         example_system, integrate_smooth,
+                         regularized_trajectory, run_example, section6_system,
+                         trajectory_csv)
 
 
 def decay_field(t, x):
@@ -41,6 +43,19 @@ class TestIntegrateSmooth:
             IntegratorOptions(rel_tol=0.0)
         with pytest.raises(ValueError):
             IntegratorOptions(max_steps=0)
+
+    @pytest.mark.parametrize("stride", [0.0, -0.01, math.nan, math.inf])
+    def test_rejects_bad_stride(self, stride):
+        # a stride that is not positive and finite made the recorder loop forever
+        with pytest.raises(ValueError, match="dense_output_stride"):
+            IntegratorOptions(dense_output_stride=stride)
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_t_end(self, t_end):
+        with pytest.raises(ValueError, match="t_end"):
+            integrate_smooth(decay_field, (1.0, 1.0, 1.0), t_end)
+        with pytest.raises(ValueError, match="t_end"):
+            pf.integrate_pws(section6_system(False), (0.5, 0.0, 0.0), t_end)
 
     def test_matches_event_driven_away_from_surface(self):
         # x1' = -x1 keeps x1 > 0, so integrate_pws runs one free+ leg
@@ -114,6 +129,14 @@ class TestRunExample:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
             run_example("i", 0.0, 1.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 1e-320])
+    def test_rejects_eps_without_finite_inverse(self, eps):
+        # 1e-320 is positive, but 1/eps overflows to inf
+        with pytest.raises(ValueError, match="eps"):
+            run_example("ii", eps, 0.1)
+        with pytest.raises(ValueError, match="eps"):
+            compile_regularized_field(example_system("ii"), pf.builtin_sigmoid("tanh"), eps)
 
     def test_layer_lambda_recorded(self):
         traj = run_example("ii", 1e-3, 10.0, "tanh")

@@ -6,16 +6,19 @@ Run from anywhere; the package is imported from this checkout's src/. The
 outputs are the trajectory CSVs of event-driven runs on every bundled system,
 on a system whose f1 is cubic in lambda and on two invisible_db starts that
 slide into repelling sliding; regularized runs of examples i-iii at eps 1e-3
-with each built-in sigmoid; a manifold CSV; and the JSON that the CLI's
-classify, fit and folded commands write for the bundled normal forms. An
-empty `diff` of the printouts of two checkouts shows that these outputs are
-byte-identical. Stdlib only; takes about 5 s on one core of a 2-core x86
-host (Python 3.11).
+with each built-in sigmoid, and at eps 1e-4 and 1e-5, where the layer step
+cap binds on most steps; a manifold CSV; the CSV of a regularized `examples`
+run; and the JSON that the CLI's classify, fit and folded commands write for
+the bundled normal forms. An empty `diff` of the printouts of two checkouts
+shows that these outputs are byte-identical. Stdlib only; takes about 10 s
+on one core of a 2-core x86 host (Python 3.11).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 import sys
 import tempfile
@@ -47,6 +50,12 @@ PWS_CASES = (
 )
 # Section-6 pair with a hidden term cubic in lambda (the root-scan path).
 CUBIC_SYSTEM = (("-1", "-1", "0"), ("1", "-1", "0"), ("0.2 + 0.1*lambda", "0", "0"))
+# (example, eps, t_end, sigmoid): regularized runs deep in the layer regime.
+SMALL_EPS_CASES = (
+    ("ii", 1e-5, 10.0, "tanh"),
+    ("ii", 1e-5, 10.0, "cubic"),
+    ("iii", 1e-4, 16.0, "tanh"),
+)
 NORMAL_FORMS = ("invisible_db", "visible_db", "mixed_db")
 
 
@@ -61,9 +70,12 @@ def _sha(data: str | bytes) -> str:
 
 
 def _cli_output(argv, out: str) -> bytes:
-    code = cli.main(argv + ["--out", out])
+    """Exit code, standard output and the file written to --out."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = cli.main(argv + ["--out", out])
     with open(out, "rb") as fh:
-        return f"exit={code}\n".encode() + fh.read()
+        return f"exit={code}\n{printed.getvalue()}".encode() + fh.read()
 
 
 def digests():
@@ -80,6 +92,10 @@ def digests():
         for sigmoid in ("tanh", "algebraic", "cubic"):
             traj = sim.run_example(which, 1e-3, 20.0, sigmoid)
             yield f"regularized/{which}/{sigmoid}/eps=0.001/t=20", _sha(sim.trajectory_csv(traj))
+    for which, eps, t_end, sigmoid in SMALL_EPS_CASES:
+        traj = sim.run_example(which, eps, t_end, sigmoid)
+        yield (f"regularized/{which}/{sigmoid}/eps={eps!r}/t={t_end!r}",
+               _sha(sim.trajectory_csv(traj)))
 
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
@@ -88,6 +104,8 @@ def digests():
         with open(out + ".lcurve.csv", "rb") as fh:
             manifold += fh.read()
         yield "cli/manifold/invisible_db", _sha(manifold)
+        yield ("cli/examples/iii/eps=1e-3/t=5",
+               _sha(_cli_output(["examples", "iii", "--eps", "1e-3", "--t-end", "5"], out)))
         for name in NORMAL_FORMS:
             for command in ("classify", "fit", "folded"):
                 yield (f"cli/{command}/{name}",
