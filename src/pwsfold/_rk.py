@@ -1,8 +1,9 @@
 """Adaptive Dormand-Prince 5(4) stepping for 3-component systems.
 
 The stepper is specialized (unrolled) for state tuples of length 3; the
-event-driven integrator reuses it for sliding flow by pinning the first
-component to zero. FSAL: the last stage of an accepted step seeds the next.
+event-driven integrator reuses it for sliding flow with the state
+(lambda, x2, x3) on the surface x1 = 0. FSAL: the last stage of an accepted
+step seeds the next.
 """
 
 from __future__ import annotations
@@ -93,6 +94,8 @@ class Dopri3:
         xn = math.sqrt(sum(v * v for v in self.x))
         scale = self.atol + self.rtol * max(xn, 1.0)
         h = 0.01 * scale / fn if fn > 0 else 1e-6
+        # never below the 16 ulp under which step_to raises StepUnderflowError
+        h = max(h, 32.0 * math.ulp(max(abs(self.t), 1.0)))
         return min(h, self.max_step)
 
     def snapshot(self):

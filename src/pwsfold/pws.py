@@ -7,8 +7,8 @@ parameter lambda ranges over [-1, 1] through the convex combination
     f(x; lambda) = (1+lambda)/2 f+(x) + (1-lambda)/2 f-(x) + (1-lambda^2) g(x; lambda)
 
 whose hidden term g vanishes at lambda = +-1 and therefore never acts away
-from the surface. Sliding motion pins x1 = 0 and follows (f2, f3) at a root
-lambda* of f1(0, x2, x3; lambda) = 0.
+from the surface. Sliding motion pins x1 = 0 and follows (f2, f3) with
+lambda carried along the critical manifold f1(0, x2, x3; lambda) = 0.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import expr as ex
-from .exceptions import (EvaluationError, EventLimitError, SlidingResidualError)
+from .exceptions import (EvaluationError, EventLimitError, SlidingResidualError,
+                         StepUnderflowError)
 from ._rk import Dopri3
 from .roots import polish_bracketed_root, real_quadratic_roots
 
@@ -106,6 +107,25 @@ class PiecewiseSystem:
         f1 = self.combined_expressions[0]
         return (ex.compile_expression(ex.differentiate(f1, "x2")),
                 ex.compile_expression(ex.differentiate(f1, "x3")))
+
+    @cached_property
+    def _sliding_field(self):
+        """(t, (lam, x2, x3)) -> (lam', x2', x3') on f1(0, x2, x3, lam) = 0.
+
+        lam' = -(df1/dx2 f2 + df1/dx3 f3) / (df1/dlambda) keeps f1 constant
+        along the flow; it is unbounded at a fold, where df1/dlambda = 0.
+        """
+        combined, f1_dlam = self.combined, self.f1_dlambda
+        d2, d3 = self.f1_surface_gradient
+
+        def fld(t, s):
+            lam, x2, x3 = s
+            _, f2, f3 = combined(0.0, x2, x3, lam)
+            d = f1_dlam(0.0, x2, x3, lam)
+            drift = d2(0.0, x2, x3, lam) * f2 + d3(0.0, x2, x3, lam) * f3
+            return (-drift / d if d else math.inf, f2, f3)
+
+        return fld
 
     @cached_property
     def lambda_degree(self) -> int | None:
@@ -301,9 +321,9 @@ class IntegratorOptions:
     """Tolerances, budgets and dense output for both integrators.
 
     dense_output_stride (the spacing of dense samples) must be positive
-    and finite. layer_eps enables the smooth integrator's step cap near the
-    layer; max_events, surface_tol and residual_tol act in event-driven runs
-    only.
+    and finite, and so must layer_eps when set. layer_eps enables the smooth
+    integrator's step cap near the layer; max_events, surface_tol and
+    residual_tol act in event-driven runs only.
     """
 
     rel_tol: float = 1e-8
@@ -323,6 +343,8 @@ class IntegratorOptions:
             raise ValueError("max_steps must be at least 1")
         if not 0.0 < self.dense_output_stride < math.inf:
             raise ValueError("dense_output_stride must be positive and finite")
+        if self.layer_eps is not None and not 0.0 < self.layer_eps < math.inf:
+            raise ValueError("layer_eps must be positive and finite")
 
 
 PwsOptions = IntegratorOptions
@@ -341,11 +363,11 @@ class _Recorder:
         self.stride = stride
         self.k = 1  # next stride sample index
 
-    def emit_through(self, t_hi: float, interpolant, mode: str | None = None,
-                     lam_of=None) -> None:
+    def emit_through(self, t_hi: float, interpolant, mode: str | None = None) -> None:
         """Append the samples up to t_hi; mode None labels each by sign(x1).
 
-        interpolant() builds the step's t -> state function; it is called
+        interpolant() builds the step's t -> state function, whose states
+        are (lambda, x2, x3) in mode 'sliding'; it is called
         only when a sample falls in the step. A sample whose stride multiple
         rounds past t_hi is taken at t_hi, so the end state or event record
         appended there next replaces it instead of being dropped.
@@ -361,24 +383,13 @@ class _Recorder:
             if t > t_hi:
                 t = t_hi
             s = at(t)
-            append(t, s, mode or _mode_of(s), None if lam_of is None else lam_of(s))
+            if mode == "sliding":
+                append(t, (0.0, s[1], s[2]), mode, s[0])
+            else:
+                append(t, s, mode or _mode_of(s), None)
             k += 1
             t = k * stride
         self.k = k
-
-
-def _continued_root(sys: PiecewiseSystem, x2: float, x3: float,
-                    prev: float) -> float | None:
-    roots = sliding_lambdas(sys, x2, x3)
-    if not roots:
-        return None
-    best = roots[0]
-    dist = abs(best - prev)
-    for r in roots[1:]:
-        d = abs(r - prev)
-        if d < dist:  # strict: the first of two tied roots wins
-            best, dist = r, d
-    return best
 
 
 def _entry_root(sys: PiecewiseSystem, x2: float, x3: float,
@@ -399,11 +410,14 @@ def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
 
     Open-region flight uses an adaptive Runge-Kutta pair with the surface
     crossing located to |x1| < surface_tol. Surface arrivals are classified;
-    crossings switch branch, sliding follows the surface flow with lambda*
-    tracked continuously. Sliding exits when lambda* reaches +-1 (or the
-    sliding root disappears at a fold) and hands over to the free flow.
-    Repelling sliding continues but sets the trajectory's non_unique flag.
-    t_end must be positive and finite.
+    crossings switch branch. A sliding leg starts at the layer equilibrium
+    lambda* first reached from the incoming side and integrates
+    (lambda, x2, x3) on the critical manifold f1(0, x2, x3, lambda) = 0. It
+    ends where lambda reaches +-1, leaving to side sign(lambda), or where
+    df1/dlambda changes sign (a fold of the manifold, or a folded
+    singularity), leaving to the side the layer flow departs to. Repelling
+    sliding continues but sets the trajectory's non_unique flag. t_end must
+    be positive and finite.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
@@ -537,89 +551,75 @@ def _resolve_tangency(sys, x, incoming, tol) -> int:
 
 
 def _sliding_leg(sys, t, x, t_end, opts, traj, rec, incoming: int = -1):
-    """Integrate one sliding segment on x1 = 0; returns (t, x, next_region)."""
+    """Integrate one sliding segment on x1 = 0; returns (t, x, next_region).
+
+    Each accepted step and each dense sample is put back on f1 = 0 by one
+    Newton step in lambda.
+    """
     x2, x3 = x[1], x[2]
-    prev = _entry_root(sys, x2, x3, incoming if incoming else -1)
-    if prev is None:
-        roots = sliding_lambdas(sys, x2, x3)
-        if not roots:
-            side = 1 if sys.f1(0.0, x2, x3, 0.0) > 0 else -1
-            return t, (0.0, x2, x3), side
-        prev = roots[0]
-    cell = [prev]
-    combined = sys.combined
+    lam = _entry_root(sys, x2, x3, incoming if incoming else -1)
+    if lam is None:
+        side = 1 if sys.f1(0.0, x2, x3, 0.0) > 0 else -1
+        return t, (0.0, x2, x3), side
+    f1, f1_dlam = sys.f1, sys.f1_dlambda
+    attracting = f1_dlam(0.0, x2, x3, lam) < 0.0
+    if not attracting:
+        traj.non_unique = True
 
-    def srhs(tt, xx):
-        lam = _continued_root(sys, xx[1], xx[2], cell[0])
-        if lam is None:
-            lam = cell[0]
-        _, f2v, f3v = combined(0.0, xx[1], xx[2], lam)
-        return (0.0, f2v, f3v)
+    def project(s):
+        lam, x2, x3 = s
+        d = f1_dlam(0.0, x2, x3, lam)
+        return (lam - f1(0.0, x2, x3, lam) / d if d else lam, x2, x3)
 
-    def lam_at(state):
-        return _continued_root(sys, state[1], state[2], cell[0])
+    def left(s):
+        return abs(s[0]) >= 1.0 or (f1_dlam(0.0, s[1], s[2], s[0]) < 0.0) != attracting
 
-    stepper = Dopri3(srhs, t, (0.0, x2, x3), rtol=opts.rel_tol,
+    def interpolant():
+        at = stepper.interpolant()
+        return lambda tt: project(at(tt))
+
+    stepper = Dopri3(sys._sliding_field, t, (lam, x2, x3), rtol=opts.rel_tol,
                      atol=opts.abs_tol, max_step=opts.max_step,
                      max_steps=opts.max_steps)
-    if sys.f1_dlambda(0.0, x2, x3, prev) > 0.0:
-        traj.non_unique = True
-    traj.append(t, (0.0, x2, x3), "sliding", prev)
-
+    traj.append(t, (0.0, x2, x3), "sliding", lam)
     while stepper.t < t_end:
-        snap = stepper.snapshot()
-        stepper.step_to(t_end)
-        lam_new = lam_at(stepper.x)
-        if lam_new is not None and abs(lam_new) < 1.0 - 1e-12:
-            if sys.f1_dlambda(0.0, stepper.x[1], stepper.x[2], lam_new) > 0.0:
-                traj.non_unique = True
-            cell[0] = lam_new
-            rec.emit_through(stepper.t, stepper.interpolant, "sliding", lam_at)
-            continue
-        # exit event: lambda* reached +-1 or the root vanished (fold)
-        step_interp = stepper.interpolant()
-        t_ev, lam_ev = _locate_sliding_exit(stepper, snap, lam_at, cell)
-        rec.emit_through(t_ev, lambda: step_interp, "sliding", lam_at)
-        x_ev = (0.0, stepper.x[1], stepper.x[2])
-        traj.events += 1
-        if lam_ev is None:
-            lam_probe = cell[0]
-            side = 1 if sys.f1(0.0, x_ev[1], x_ev[2], lam_probe) >= 0 else -1
-        else:
-            side = 1 if lam_ev > 0 else -1
-        traj.append(t_ev, x_ev, "sliding", lam_ev if lam_ev is not None else cell[0])
-        return stepper.t, x_ev, side
-    rec.emit_through(t_end, stepper.interpolant, "sliding", lam_at)
-    lam_fin = lam_at(stepper.x)
-    traj.append(t_end, (0.0, stepper.x[1], stepper.x[2]), "sliding", lam_fin)
-    return stepper.t, stepper.x, 0
-
-
-def _locate_sliding_exit(stepper: Dopri3, snap, lam_at, cell):
-    """Bisect the accepted step down to the sliding-exit time.
-
-    Exit means 1 - |lambda*| changes sign (fold boundary of the layer
-    equilibrium) or the root ceases to exist. Returns (t_exit, lambda_exit)
-    with lambda_exit None when the root vanished.
-    """
-    t_lo = stepper.t_prev
-    t_hi = stepper.t
-    for _ in range(60):
-        mid = 0.5 * (t_lo + t_hi)
-        stepper.restore(snap)
-        stepper.advance_to(mid)
-        lam = lam_at(stepper.x)
-        if lam is not None and abs(lam) < 1.0 - 1e-12:
-            cell[0] = lam
-            t_lo = mid
-        else:
-            t_hi = mid
-        if t_hi - t_lo <= 1e-9 * max(1.0, abs(t_hi)) or \
-                (lam is not None and abs(abs(lam) - 1.0) <= 1e-9):
+        try:
+            stepper.step_to(t_end)
+        except StepUnderflowError:
+            # steps collapse as lambda' blows up at a fold: exit there
+            lam, x2, x3 = stepper.x
+            if abs(f1_dlam(0.0, x2, x3, lam)) > math.sqrt(opts.residual_tol):
+                raise
+            t_ev, s = stepper.t, stepper.x
             break
-    stepper.restore(snap)
-    stepper.advance_to(t_hi)
-    lam = lam_at(stepper.x)
-    if lam is not None and abs(lam) >= 1.0 - 1e-9:
-        lam = math.copysign(1.0, lam)
-    return stepper.t, lam
+        stepper.x = project(stepper.x)
+        if not left(stepper.x):
+            rec.emit_through(stepper.t, interpolant, "sliding")
+            continue
+        at = interpolant()
+        lo, hi = stepper.t_prev, stepper.t
+        while hi - lo > 1e-9 * max(1.0, abs(hi)):
+            mid = 0.5 * (lo + hi)
+            if left(at(mid)):
+                hi = mid
+            else:
+                lo = mid
+        if abs(at(hi)[0]) < 1.0:
+            hi = lo  # past a fold f1 = 0 has no root nearby: exit before it
+        t_ev, s = hi, at(hi)
+        rec.emit_through(t_ev, lambda: at, "sliding")
+        break
+    else:  # t_end reached without an exit
+        rec.emit_through(t_end, interpolant, "sliding")
+        lam, x2, x3 = stepper.x
+        traj.append(t_end, (0.0, x2, x3), "sliding", lam)
+        return stepper.t, (0.0, x2, x3), 0
+    lam, x2, x3 = s
+    away = lam
+    if abs(lam) < 1.0:
+        # a fold, where f1 ~ a (lambda - lambda_f)^2 + c: the layer flow
+        # leaves towards sign(a)
+        away = f1_dlam(0.0, x2, x3, lam + 1e-6) - f1_dlam(0.0, x2, x3, lam - 1e-6)
+    traj.events += 1
+    traj.append(t_ev, (0.0, x2, x3), "sliding", lam)
+    return t_ev, (0.0, x2, x3), 1 if away > 0 else -1

@@ -126,10 +126,17 @@ def builtin_sigmoid(name: str) -> Sigmoid:
 # --- fields ------------------------------------------------------------------
 
 
+def _check_eps(eps: float) -> None:
+    if not (0.0 < eps < math.inf and 1.0 / eps < math.inf):
+        raise ValueError(f"eps must be positive and finite, with 1/eps finite; got {eps!r}")
+
+
 def regularized_field(sys: PiecewiseSystem, s: Sigmoid, eps: float, x):
-    """The smooth field with lambda replaced by phi(x1/eps)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    """The smooth field with lambda replaced by phi(x1/eps).
+
+    eps must be positive and finite, and so must 1/eps.
+    """
+    _check_eps(eps)
     lam = s.value(x[0] / eps)
     lam = min(1.0, max(-1.0, lam))
     return sys.combined(x[0], x[1], x[2], lam)
@@ -141,8 +148,7 @@ def compile_regularized_field(sys: PiecewiseSystem, s: Sigmoid, eps: float):
     eps must be positive and finite, and so must 1/eps, which is written
     into the generated source.
     """
-    if not (0.0 < eps < math.inf and 1.0 / eps < math.inf):
-        raise ValueError(f"eps must be positive and finite, with 1/eps finite; got {eps!r}")
+    _check_eps(eps)
     return ex._generate(sys.combined_expressions,
                         (f"x1 * {1.0 / eps!r}", s.inline.format(u="_u")))
 

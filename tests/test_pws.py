@@ -1,14 +1,15 @@
 import math
 import os
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pwsfold as pf
 from pwsfold.cli import load_system_file
-from pwsfold.exceptions import SlidingResidualError
-from pwsfold.pws import PwsOptions, _continued_root
+from pwsfold.exceptions import SlidingResidualError, StepUnderflowError
+from pwsfold.pws import PwsOptions
 from pwsfold.twofold import TwoFoldParams, build_normal_form
 
 
@@ -30,6 +31,10 @@ BUNDLED = tuple(load_system_file(os.path.join(SYSTEMS_DIR, name)).system
 # Section-6 pair with a hidden term linear in lambda: f1 is cubic in lambda.
 LAMBDA_CUBIC = pf.PiecewiseSystem.from_strings(
     ("-1", "-1", "0"), ("1", "-1", "0"), ("0.2 + 0.1*lambda", "0", "0"))
+
+
+def bundled(name):
+    return load_system_file(os.path.join(SYSTEMS_DIR, f"{name}.json")).system
 
 
 class TestF1:
@@ -152,20 +157,6 @@ class TestSlidingLambdas:
             assert any(sys.f1_dlambda(0.0, x2, x3, r) < 0.0 for r in roots)
 
 
-class TestContinuedRoot:
-    def test_tie_picks_the_lower_root(self):
-        # f1 = 0.75 - (1 - lambda^2) = lambda^2 - 1/4: roots -1/2 and 1/2
-        sys = pf.PiecewiseSystem.from_strings(("0.75", "0", "0"), ("0.75", "0", "0"),
-                                              ("-1", "0", "0"))
-        assert pf.sliding_lambdas(sys, 0.0, 0.0) == [-0.5, 0.5]
-        assert _continued_root(sys, 0.0, 0.0, 0.0) == -0.5
-        assert _continued_root(sys, 0.0, 0.0, 0.1) == 0.5
-        assert _continued_root(sys, 0.0, 0.0, -0.1) == -0.5
-
-    def test_no_root(self):
-        assert _continued_root(normal_form(), 1.0, -1.0, 0.0) is None
-
-
 class TestSlidingField:
     def test_section6_linear_literal(self):
         sys = pf.PiecewiseSystem.from_strings(("1", "-1", "0"), ("-1", "-1", "0"))
@@ -251,6 +242,47 @@ class TestIntegratePws:
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
             pf.integrate_pws(normal_form(), (1, 1, 1), 0.0)
+
+
+class TestSlidingLeg:
+    def test_gets_past_the_folded_node_promptly(self):
+        # this start slides into the folded node of invisible_db at t = 4.36;
+        # a run past it once stalled for minutes near lambda = -1
+        x0 = (0.5084476707878112, 1.0174576234719783, 0.9968842799984566)
+        start = time.perf_counter()
+        traj = pf.integrate_pws(bundled("invisible_db"), x0, 4.8)
+        assert time.perf_counter() - start < 1.0
+        assert traj.times[-1] == 4.8
+
+    def test_agrees_with_a_tight_tolerance_run(self):
+        # this start leaves a fold near t = 7.7-8.1
+        sys = pf.example_system("ii")
+        traj = pf.integrate_pws(sys, (-0.5, 0.5, 0.5), 10.0)
+        ref = pf.integrate_pws(sys, (-0.5, 0.5, 0.5), 10.0,
+                               PwsOptions(rel_tol=1e-11, abs_tol=1e-13))
+        grid = [i / 100 for i in range(1001)]
+        assert pf.compare_trajectories(traj, ref, grid) < 1e-4
+
+    def test_singular_flow_away_from_a_fold_raises(self):
+        # f1 = -lambda, so lambda = 0 with df1/dlambda = -1, while the
+        # sliding flow x2' = -1/x2 blows up at t = 0.5
+        sys = pf.PiecewiseSystem.from_strings(("-1", "0", "0"), ("1", "0", "0"),
+                                              ("0", "-1/x2", "0"))
+        with pytest.raises(StepUnderflowError):
+            pf.integrate_pws(sys, (0.0, 1.0, 0.0), 1.0)
+
+    def test_fold_exit_goes_where_the_layer_flow_leaves(self):
+        # d2f1/dlambda2 = -0.4 < 0: at the fold the layer flow leaves the
+        # critical manifold towards lambda = -1, whatever the sign of lambda
+        sys = bundled("mixed_db")
+        traj = pf.integrate_pws(sys, (0.5, 1.0, 1.0), 5.0)
+        order = [m for i, m in enumerate(traj.modes)
+                 if i == 0 or m != traj.modes[i - 1]]
+        assert order == ["free+", "sliding", "free-"]
+        i = traj.modes.index("free-") - 1
+        (_, x2, x3), lam = traj.states[i], traj.lambdas[i]
+        assert lam == pytest.approx(0.447, abs=0.005)
+        assert abs(sys.f1_dlambda(0.0, x2, x3, lam)) < 1e-2
 
 
 def test_oracle_equivalence_db_example_before_passage():

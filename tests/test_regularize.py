@@ -88,6 +88,16 @@ class TestRegularizedField:
         with pytest.raises(ValueError):
             regularized_field(normal_form(), SIGMOIDS[0], 0.0, (0, 1, 1))
 
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0, math.inf])
+    def test_bad_eps_rejected_alike(self, eps):
+        # a NaN eps once slipped through as the f- branch
+        sys = pf.example_system("ii")
+        with pytest.raises(ValueError) as plain:
+            regularized_field(sys, SIGMOIDS[0], eps, (0.0, 0.1, 0.1))
+        with pytest.raises(ValueError) as compiled:
+            compile_regularized_field(sys, SIGMOIDS[0], eps)
+        assert str(plain.value) == str(compiled.value)
+
     def test_compiled_field_matches(self):
         sys = normal_form(alpha=0.2)
         for s in SIGMOIDS:

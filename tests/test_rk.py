@@ -102,3 +102,11 @@ class TestStepper:
                 # t + h rounds to the ulp of t
                 assert stepper.t - t <= cap + math.ulp(stepper.t)
         assert capped > 100
+
+    def test_fresh_stepper_starts_above_its_underflow_floor(self):
+        # 0.01 (atol + rtol |x|) / |f| is 1.7e-15 here, under 16 ulp(100)
+        stepper = Dopri3(lambda t, x: (0.0, 1.0, 1.0), 100.0, (0.0, 0.0, 0.0),
+                         rtol=1e-11, atol=1e-13)
+        stepper.advance_to(101.0)
+        assert stepper.t == 101.0
+        assert stepper.x == pytest.approx((0.0, 1.0, 1.0), rel=1e-12)

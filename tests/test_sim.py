@@ -50,6 +50,12 @@ class TestIntegrateSmooth:
         with pytest.raises(ValueError, match="dense_output_stride"):
             IntegratorOptions(dense_output_stride=stride)
 
+    @pytest.mark.parametrize("layer_eps", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_layer_eps(self, layer_eps):
+        # such a value once ran the layer uncapped without a word
+        with pytest.raises(ValueError, match="layer_eps"):
+            IntegratorOptions(layer_eps=layer_eps)
+
     @pytest.mark.parametrize("t_end", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_t_end(self, t_end):
         with pytest.raises(ValueError, match="t_end"):

@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import pwsfold as pf
+from pwsfold.cli import load_system_file
 from pwsfold.exceptions import (DegenerateClassificationError,
                                 DegenerateSystemError)
 from pwsfold.regularize import builtin_sigmoid
@@ -236,3 +239,74 @@ class TestFoldedReports:
         assert set(back) == {"phi_s", "u_s", "x2s", "x3s", "p", "q", "r",
                              "folded_class", "canard", "flavour",
                              "determinacy_breaking"}
+
+
+def sliding_side_class(p: TwoFoldParams, report) -> FoldedClass:
+    """Class of the folded point from the desingularized sliding flow.
+
+    On S = {f1(0, x2, x3, lambda) = 0} the flow (x2, x3, lambda)' =
+    (-df1/dlambda f2, -df1/dlambda f3, df1/dx2 f2 + df1/dx3 f3) has the
+    folded point as an equilibrium. Its Jacobian, by central differences and
+    restricted to the tangent plane of S spanned by (0, 0, 1) and
+    (-df1/dx3, df1/dx2, 0), is classified by its determinant and trace. No
+    closed form and no canonical fit enter.
+    """
+    sys = build_normal_form(p)
+    dlam, (d2, d3) = sys.f1_dlambda, sys.f1_surface_gradient
+
+    def flow(v):
+        x2, x3, lam = v
+        _, f2, f3 = sys.combined(0.0, x2, x3, lam)
+        d = dlam(0.0, x2, x3, lam)
+        return (-d * f2, -d * f3,
+                d2(0.0, x2, x3, lam) * f2 + d3(0.0, x2, x3, lam) * f3)
+
+    point = (report.x2s, report.x3s, report.phi_s)
+    h = 1e-6
+    columns = []
+    for j in range(3):
+        up = list(point)
+        down = list(point)
+        up[j] += h
+        down[j] -= h
+        columns.append([(a - b) / (2 * h) for a, b in zip(flow(up), flow(down))])
+
+    def jac(v):
+        return [sum(columns[j][i] * v[j] for j in range(3)) for i in range(3)]
+
+    g2, g3 = d2(0.0, *point), d3(0.0, *point)
+    basis = ((0.0, 0.0, 1.0), (-g3, g2, 0.0))
+    m = [[sum(a * b for a, b in zip(bi, jac(bj))) / sum(a * a for a in bi)
+          for bj in basis] for bi in basis]
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    tr = m[0][0] + m[1][1]
+    if det < 0.0:
+        return FoldedClass.FOLDED_SADDLE
+    return FoldedClass.FOLDED_NODE if tr * tr > 4.0 * det else FoldedClass.FOLDED_FOCUS
+
+
+class TestSlidingSideClass:
+    """The paper's theorem seen from the sliding side: the two-fold's folded
+    singularity has the class the regularization's canonical form gives it."""
+
+    def test_bundled_normal_forms(self):
+        classes = set()
+        for name in ("invisible_db", "visible_db", "mixed_db"):
+            path = os.path.join(os.path.dirname(pf.__file__), "systems", f"{name}.json")
+            params = load_system_file(path).normal_form
+            for report in folded_reports(params, TANH):
+                assert sliding_side_class(params, report) is report.folded_class
+                classes.add(report.folded_class)
+        assert len(classes) >= 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((-1, 1)), st.sampled_from((-1, 1)),
+           st.floats(-3, 3), st.floats(-3, 3), st.sampled_from((0.2, -0.3, 0.5)))
+    def test_random_normal_forms(self, a1, a2, b1, b2, alpha):
+        params = TwoFoldParams(a1, a2, b1, b2, alpha)
+        try:
+            reports = folded_reports(params, TANH)
+        except DegenerateClassificationError:
+            assume(False)
+        for report in reports:
+            assert sliding_side_class(params, report) is report.folded_class

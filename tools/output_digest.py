@@ -5,7 +5,7 @@
 Run from anywhere; the package is imported from this checkout's src/. The
 outputs are the trajectory CSVs of event-driven runs on every bundled system,
 on a system whose f1 is cubic in lambda and on two invisible_db starts that
-slide into repelling sliding; regularized runs of examples i-iii at eps 1e-3
+slide into its folded node; regularized runs of examples i-iii at eps 1e-3
 with each built-in sigmoid, and at eps 1e-4 and 1e-5, where the layer step
 cap binds on most steps; a manifold CSV; the CSV of a regularized `examples`
 run; and the JSON that the CLI's classify, fit and folded commands write for
@@ -30,7 +30,7 @@ from pwsfold import cli, sim  # noqa: E402
 from pwsfold.pws import PiecewiseSystem, integrate_pws  # noqa: E402
 
 # (bundled system, start, t_end): the bases of the benchmark's event-driven
-# cases, and its two starts that slide through the two-fold of invisible_db.
+# cases, and its two starts that slide into the folded node of invisible_db.
 PWS_CASES = (
     ("example_i", (0.1, -0.5, 0.5), 50.0),
     ("example_i", (-0.3, -0.3, 0.8), 50.0),
