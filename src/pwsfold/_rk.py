@@ -3,7 +3,10 @@
 The stepper is specialized (unrolled) for state tuples of length 3; the
 event-driven integrator reuses it for sliding flow with the state
 (lambda, x2, x3) on the surface x1 = 0. FSAL: the last stage of an accepted
-step seeds the next.
+step seeds the next. The stepper keeps the start of its last accepted step
+(t_prev, x_prev, f_prev); event location rewinds to it and re-advances.
+Step sizes are bounded by the error control, the target time and the layer
+cap only.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ def hermite(t0, x0, f0, t1, x1, f1):
 
 
 class Dopri3:
-    """One 3-component Dormand-Prince integrator with snapshot/rewind.
+    """One 3-component Dormand-Prince integrator.
 
     field(t, x) must return a tuple of 3 floats. layer_eps, when given, caps
     a step that starts in the layer |x1| < 10 layer_eps at layer_eps / |f|,
@@ -69,15 +72,14 @@ class Dopri3:
     """
 
     def __init__(self, field, t0: float, x0, *, rtol: float = 1e-8,
-                 atol: float = 1e-10, max_step: float = math.inf,
-                 max_steps: int = 50_000_000, layer_eps: float | None = None):
+                 atol: float = 1e-10, max_steps: int = 50_000_000,
+                 layer_eps: float | None = None):
         self.field = field
         self.t = float(t0)
         self.x = (float(x0[0]), float(x0[1]), float(x0[2]))
         self.f = field(self.t, self.x)
         self.rtol = rtol
         self.atol = atol
-        self.max_step = max_step
         self.max_steps = max_steps
         self.layer_eps = layer_eps
         self.nsteps = 0
@@ -95,16 +97,7 @@ class Dopri3:
         scale = self.atol + self.rtol * max(xn, 1.0)
         h = 0.01 * scale / fn if fn > 0 else 1e-6
         # never below the 16 ulp under which step_to raises StepUnderflowError
-        h = max(h, 32.0 * math.ulp(max(abs(self.t), 1.0)))
-        return min(h, self.max_step)
-
-    def snapshot(self):
-        return (self.t, self.x, self.f, self.h, self.t_prev, self.x_prev,
-                self.f_prev, self.nsteps)
-
-    def restore(self, snap) -> None:
-        (self.t, self.x, self.f, self.h, self.t_prev, self.x_prev,
-         self.f_prev, self.nsteps) = snap
+        return max(h, 32.0 * math.ulp(max(abs(self.t), 1.0)))
 
     def interpolant(self):
         """hermite() of the last accepted step, (t_prev, t)."""
@@ -125,7 +118,7 @@ class Dopri3:
             if t_bound > t:
                 self.t = t_bound  # sub-resolution gap: declare arrival
             return
-        h = min(self.h, self.max_step, t_bound - t)
+        h = min(self.h, t_bound - t)
         y1, y2, y3 = self.x
         k11, k12, k13 = self.f
         eps = self.layer_eps
@@ -184,7 +177,7 @@ class Dopri3:
                     _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
                 self.t_prev, self.x_prev, self.f_prev = t, self.x, self.f
                 self.t, self.x, self.f = t + h, (z1, z2, z3), (k71, k72, k73)
-                self.h = min(h * factor, self.max_step)
+                self.h = h * factor
                 return
             else:
                 h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)

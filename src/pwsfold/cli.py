@@ -263,11 +263,9 @@ def cmd_examples(args) -> int:
 
 
 def bundled_example_path(which: str) -> str:
-    base = os.path.join(os.path.dirname(__file__), "systems")
-    path = os.path.join(base, f"example_{which}.json")
-    if not os.path.exists(path):
+    if which not in sim.EXAMPLE_NAMES:
         raise ValidationError(f"unknown example {which!r}; choose from i, ii, iii")
-    return path
+    return os.path.join(os.path.dirname(__file__), "systems", f"example_{which}.json")
 
 
 # --- entry point ----------------------------------------------------------------

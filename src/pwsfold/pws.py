@@ -175,13 +175,16 @@ def combination(sys: PiecewiseSystem, x, lam: float):
         raise EvaluationError(str(exc)) from exc
 
 
-def classify_surface_point(sys: PiecewiseSystem, x, tol: float = RESIDUAL_TOL) -> SurfaceMode:
-    """Classify a surface point by the normal components of the two fields."""
-    if abs(x[0]) > SURFACE_TOL and abs(x[0]) > tol:
+def classify_surface_point(sys: PiecewiseSystem, x) -> SurfaceMode:
+    """Classify a surface point by the normal components of the two fields.
+
+    A normal component within RESIDUAL_TOL of zero is a tangency.
+    """
+    if abs(x[0]) > RESIDUAL_TOL:
         raise ValueError(f"point is not on the surface: x1 = {x[0]!r}")
     vplus = sys.f1(0.0, x[1], x[2], 1.0)
     vminus = sys.f1(0.0, x[1], x[2], -1.0)
-    if abs(vplus) <= tol or abs(vminus) <= tol:
+    if abs(vplus) <= RESIDUAL_TOL or abs(vminus) <= RESIDUAL_TOL:
         return SurfaceMode.TANGENCY
     if vplus < 0.0 < vminus:
         return SurfaceMode.ATTRACTING_SLIDING
@@ -322,19 +325,19 @@ class IntegratorOptions:
 
     dense_output_stride (the spacing of dense samples) must be positive
     and finite, and so must layer_eps when set. layer_eps enables the smooth
-    integrator's step cap near the layer; max_events, surface_tol and
-    residual_tol act in event-driven runs only.
+    integrator's step cap near the layer; max_events acts in event-driven
+    runs only. max_steps bounds the Runge-Kutta attempts of each stepper,
+    the re-advances of event location included. The event-driven
+    integrator's surface and residual tolerances are the module constants
+    SURFACE_TOL and RESIDUAL_TOL.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    max_step: float = math.inf
     max_steps: int = 50_000_000
     dense_output_stride: float = 0.01
     layer_eps: float | None = None
     max_events: int = 10_000
-    surface_tol: float = SURFACE_TOL
-    residual_tol: float = RESIDUAL_TOL
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -409,7 +412,7 @@ def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
     """Event-driven integration of the piecewise-smooth flow from x0.
 
     Open-region flight uses an adaptive Runge-Kutta pair with the surface
-    crossing located to |x1| < surface_tol. Surface arrivals are classified;
+    crossing located to |x1| <= SURFACE_TOL. Surface arrivals are classified;
     crossings switch branch. A sliding leg starts at the layer equilibrium
     lambda* first reached from the incoming side and integrates
     (lambda, x2, x3) on the critical manifold f1(0, x2, x3, lambda) = 0. It
@@ -428,7 +431,7 @@ def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
     t = 0.0
     x = (float(x0[0]), float(x0[1]), float(x0[2]))
 
-    if abs(x[0]) <= opts.surface_tol:
+    if abs(x[0]) <= SURFACE_TOL:
         region = 0
     else:
         region = 1 if x[0] > 0 else -1
@@ -455,25 +458,24 @@ def _free_leg(sys, t, x, region, t_end, opts, traj, rec):
     """Integrate one open-region segment; returns (t, x, next_region)."""
     fld = sys.branch_field(region)
     stepper = Dopri3(fld, t, x, rtol=opts.rel_tol, atol=opts.abs_tol,
-                     max_step=opts.max_step, max_steps=opts.max_steps)
+                     max_steps=opts.max_steps)
     mode = _free_mode(region)
     while stepper.t < t_end:
-        snap = stepper.snapshot()
         stepper.step_to(t_end)
         x1_prev = stepper.x_prev[0]
         x1_new = stepper.x[0]
         crossed = (x1_prev * x1_new < 0.0 or
-                   (abs(x1_new) <= opts.surface_tol and abs(x1_prev) > opts.surface_tol) or
-                   (abs(x1_new) > opts.surface_tol and (x1_new > 0) != (region > 0)))
+                   (abs(x1_new) <= SURFACE_TOL and abs(x1_prev) > SURFACE_TOL) or
+                   (abs(x1_new) > SURFACE_TOL and (x1_new > 0) != (region > 0)))
         if not crossed:
             rec.emit_through(stepper.t, stepper.interpolant, mode)
             continue
         step_interp = stepper.interpolant()
-        t_ev = _locate_crossing(stepper, snap, opts, region, step_interp)
+        t_ev = _locate_crossing(stepper, region, step_interp)
         rec.emit_through(t_ev, lambda: step_interp, mode)
         x_ev = (0.0, stepper.x[1], stepper.x[2])
         traj.events += 1
-        sm = classify_surface_point(sys, x_ev, opts.residual_tol)
+        sm = classify_surface_point(sys, x_ev)
         if sm is SurfaceMode.CROSSING:
             traj.append(t_ev, x_ev, "crossing", None)
             return stepper.t, x_ev, -region
@@ -483,7 +485,7 @@ def _free_leg(sys, t, x, region, t_end, opts, traj, rec):
             traj.append(t_ev, x_ev, "sliding", None)
             return stepper.t, x_ev, 0
         # tangency: continue in the region the flow curves into
-        side = _resolve_tangency(sys, x_ev, region, opts.residual_tol)
+        side = _resolve_tangency(sys, x_ev)
         if side == 0:
             traj.append(t_ev, x_ev, "sliding", None)
             return stepper.t, x_ev, 0
@@ -494,17 +496,19 @@ def _free_leg(sys, t, x, region, t_end, opts, traj, rec):
     return stepper.t, stepper.x, region
 
 
-def _locate_crossing(stepper: Dopri3, snap, opts, region: int, interp) -> float:
-    """Move the stepper so its state sits on x1 = 0 to surface_tol.
+def _locate_crossing(stepper: Dopri3, region: int, interp) -> float:
+    """Move the stepper so its state sits on x1 = 0 to SURFACE_TOL.
 
     interp is the interpolant of the step that crossed; it gives the first
-    guess.
+    guess. Each later guess re-advances from that step's start, (t_prev,
+    x_prev, f_prev), whose first attempt is then the whole way to the guess.
     """
     lo, hi = stepper.t_prev, stepper.t
     g_lo, g_hi = stepper.x_prev[0], stepper.x[0]
     if g_lo == 0.0:
         # leg started exactly on the surface; treat the start as region-side
-        g_lo = region * opts.surface_tol
+        g_lo = region * SURFACE_TOL
+    start = (stepper.t_prev, stepper.x_prev, stepper.f_prev, hi - lo)
 
     def gh(tt):
         return interp(tt)[0]
@@ -513,10 +517,10 @@ def _locate_crossing(stepper: Dopri3, snap, opts, region: int, interp) -> float:
         if g_lo * g_hi < 0.0 else hi
 
     for _ in range(60):
-        stepper.restore(snap)
+        stepper.t, stepper.x, stepper.f, stepper.h = start
         stepper.advance_to(guess)
         val = stepper.x[0]
-        if abs(val) <= opts.surface_tol:
+        if abs(val) <= SURFACE_TOL:
             return stepper.t
         if g_lo * val < 0.0:
             hi, g_hi = guess, val
@@ -532,13 +536,13 @@ def _locate_crossing(stepper: Dopri3, snap, opts, region: int, interp) -> float:
     return stepper.t
 
 
-def _resolve_tangency(sys, x, incoming, tol) -> int:
+def _resolve_tangency(sys, x) -> int:
     """Region to continue in after a grazing arrival (0 means slide)."""
     vplus = sys.f1(0.0, x[1], x[2], 1.0)
     vminus = sys.f1(0.0, x[1], x[2], -1.0)
-    if abs(vplus) <= tol and abs(vminus) <= tol:
+    if abs(vplus) <= RESIDUAL_TOL and abs(vminus) <= RESIDUAL_TOL:
         return 0  # two-fold point itself: hand to sliding machinery
-    grazing = 1 if abs(vplus) <= tol else -1
+    grazing = 1 if abs(vplus) <= RESIDUAL_TOL else -1
     curv = sys.surface_curvature(x, grazing)
     if curv * grazing > 0.0:
         # visible fold: the grazing flow curves back into its own region
@@ -579,8 +583,7 @@ def _sliding_leg(sys, t, x, t_end, opts, traj, rec, incoming: int = -1):
         return lambda tt: project(at(tt))
 
     stepper = Dopri3(sys._sliding_field, t, (lam, x2, x3), rtol=opts.rel_tol,
-                     atol=opts.abs_tol, max_step=opts.max_step,
-                     max_steps=opts.max_steps)
+                     atol=opts.abs_tol, max_steps=opts.max_steps)
     traj.append(t, (0.0, x2, x3), "sliding", lam)
     while stepper.t < t_end:
         try:
@@ -588,7 +591,7 @@ def _sliding_leg(sys, t, x, t_end, opts, traj, rec, incoming: int = -1):
         except StepUnderflowError:
             # steps collapse as lambda' blows up at a fold: exit there
             lam, x2, x3 = stepper.x
-            if abs(f1_dlam(0.0, x2, x3, lam)) > math.sqrt(opts.residual_tol):
+            if abs(f1_dlam(0.0, x2, x3, lam)) > math.sqrt(RESIDUAL_TOL):
                 raise
             t_ev, s = stepper.t, stepper.x
             break

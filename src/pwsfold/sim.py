@@ -4,14 +4,17 @@ The integrator is an explicit adaptive Runge-Kutta pair; stiffness from the
 regularization layer is handled by capping the step near |x1| < 10 eps at
 eps / |f| (Dopri3's layer_eps), which keeps the layer contraction inside
 the stability region without an implicit method. Both integrators take
-IntegratorOptions (pws.PwsOptions is the same class).
+IntegratorOptions (pws.PwsOptions is the same class). The bundled systems
+are read from the package's systems/*.json, the files the CLI loads.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from dataclasses import replace
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable
 
 from ._rk import Dopri3
 from .exceptions import ValidationError
@@ -22,8 +25,7 @@ from .regularize import Sigmoid, builtin_sigmoid, compile_regularized_field
 __all__ = [
     "IntegratorOptions", "integrate_smooth", "regularized_trajectory",
     "run_example", "example_system", "compare_trajectories", "section6_system",
-    "write_trajectory_csv", "trajectory_csv", "EXAMPLE_NAMES",
-    "DEFAULT_EXAMPLE_X0",
+    "trajectory_csv", "EXAMPLE_NAMES", "DEFAULT_EXAMPLE_X0",
 ]
 
 
@@ -41,8 +43,7 @@ def integrate_smooth(field: Callable, x0, t_end: float,
         raise ValueError("t_end must be positive and finite")
     opts = opts or IntegratorOptions()
     stepper = Dopri3(field, 0.0, x0, rtol=opts.rel_tol, atol=opts.abs_tol,
-                     max_step=opts.max_step, max_steps=opts.max_steps,
-                     layer_eps=opts.layer_eps)
+                     max_steps=opts.max_steps, layer_eps=opts.layer_eps)
     traj = Trajectory()
     traj.append(0.0, stepper.x, _mode_of(stepper.x), None)
     emit = _Recorder(traj, opts.dense_output_stride).emit_through
@@ -76,29 +77,25 @@ def regularized_trajectory(sys: PiecewiseSystem, s: Sigmoid, eps: float,
 
 # --- bundled demo systems -------------------------------------------------------
 
-# Two planar systems with the same discontinuous limit dx/dt = -sign(x1) but
-# different transition-layer drift: the plain convex combination drifts with
-# dy/dt = -1 on the layer, while adding the hidden term g = (0, 2, 0) flips
-# the layer drift to dy/dt = +1 (the off-surface dynamics is identical).
-_S6_FPLUS = ("-1", "-1", "0")
-_S6_FMINUS = ("1", "-1", "0")
+_SYSTEMS_DIR = os.path.join(os.path.dirname(__file__), "systems")
+
+
+def _bundled_system(name: str) -> PiecewiseSystem:
+    with open(os.path.join(_SYSTEMS_DIR, f"{name}.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    return PiecewiseSystem.from_strings(doc["fplus"], doc["fminus"], doc.get("hidden"))
 
 
 def section6_system(nonlinear: bool) -> PiecewiseSystem:
-    hidden = ("0", "2", "0") if nonlinear else None
-    return PiecewiseSystem.from_strings(_S6_FPLUS, _S6_FMINUS, hidden)
+    """Two planar systems with the same discontinuous limit dx/dt = -sign(x1)
+    but different transition-layer drift: the plain convex combination
+    drifts with dy/dt = -1 on the layer, while adding the hidden term
+    g = (0, 2, 0) flips the layer drift to dy/dt = +1 (the off-surface
+    dynamics is identical)."""
+    return _bundled_system("section6_nonlinear" if nonlinear else "section6_linear")
 
 
-_EXAMPLES = {
-    "i": (("-x2", "2/5*x1 + 1/10*x2 - 1", "3/10*x2 - 1/5*x2*x3 - 2/5"),
-          ("x3", "1/5*x2*x3 - 3/5", "2/5*x3 - 1 - x1")),
-    "ii": (("-x2", "1 + x1", "-7/5"),
-           ("x3", "-9/10", "1 - 3/5*x1")),
-    "iii": (("-x2 + 1/10*x1", "x1 - 6/5", "x1 - 2"),
-            ("x3 + 1/10*x1", "x1 + 23/100", "1 - x1")),
-}
-EXAMPLE_NAMES = tuple(_EXAMPLES)
-_EXAMPLE_ALPHA = 0.2  # hidden strength 1/5 for all bundled attractors
+EXAMPLE_NAMES = ("i", "ii", "iii")
 
 # Per-example starting points inside the attractor's basin. Example (i) also
 # has unbounded orbits (x2 grows along repeated sliding phases from, e.g.,
@@ -111,14 +108,11 @@ DEFAULT_EXAMPLE_X0 = {
 
 
 def example_system(which: str) -> PiecewiseSystem:
-    """One of the bundled oscillatory two-fold attractors ('i', 'ii', 'iii')."""
-    try:
-        fplus, fminus = _EXAMPLES[which]
-    except KeyError:
-        raise ValidationError(
-            f"unknown example {which!r}; choose from {EXAMPLE_NAMES}") from None
-    hidden = (repr(_EXAMPLE_ALPHA), "0", "0")
-    return PiecewiseSystem.from_strings(fplus, fminus, hidden)
+    """One of the bundled oscillatory two-fold attractors ('i', 'ii', 'iii'),
+    each with hidden term (1/5, 0, 0)."""
+    if which not in EXAMPLE_NAMES:
+        raise ValidationError(f"unknown example {which!r}; choose from {EXAMPLE_NAMES}")
+    return _bundled_system(f"example_{which}")
 
 
 def run_example(which: str, eps: float, t_end: float,
@@ -162,7 +156,3 @@ def trajectory_csv(traj: Trajectory) -> str:
         lam_s = "" if lam is None else _fmt(lam)
         lines.append(f"{_fmt(t)},{_fmt(x[0])},{_fmt(x[1])},{_fmt(x[2])},{lam_s},{mode}")
     return "\n".join(lines) + "\n"
-
-
-def write_trajectory_csv(traj: Trajectory, out: TextIO) -> None:
-    out.write(trajectory_csv(traj))
