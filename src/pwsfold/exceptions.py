@@ -35,7 +35,7 @@ class EventLimitError(IntegrationError):
     """More surface events occurred than opts.max_events allows."""
 
 
-class SlidingResidualError(PwsfoldError):
+class SlidingResidualError(IntegrationError):
     """A supposed sliding value of lambda does not annihilate f1."""
 
 

@@ -326,10 +326,10 @@ class IntegratorOptions:
     dense_output_stride (the spacing of dense samples) must be positive
     and finite, and so must layer_eps when set. layer_eps enables the smooth
     integrator's step cap near the layer; max_events acts in event-driven
-    runs only. max_steps bounds the Runge-Kutta attempts of each stepper,
-    the re-advances of event location included. The event-driven
-    integrator's surface and residual tolerances are the module constants
-    SURFACE_TOL and RESIDUAL_TOL.
+    runs only. max_steps bounds the Runge-Kutta attempts of a smooth run,
+    or of one leg of an event-driven run with its event-location
+    re-advances. The event-driven integrator's surface and residual
+    tolerances are the module constants SURFACE_TOL and RESIDUAL_TOL.
     """
 
     rel_tol: float = 1e-8
@@ -558,7 +558,7 @@ def _sliding_leg(sys, t, x, t_end, opts, traj, rec, incoming: int = -1):
     """Integrate one sliding segment on x1 = 0; returns (t, x, next_region).
 
     Each accepted step and each dense sample is put back on f1 = 0 by one
-    Newton step in lambda.
+    Newton step in lambda, the exit record by up to 30, to |f1| <= RESIDUAL_TOL.
     """
     x2, x3 = x[1], x[2]
     lam = _entry_root(sys, x2, x3, incoming if incoming else -1)
@@ -623,6 +623,15 @@ def _sliding_leg(sys, t, x, t_end, opts, traj, rec, incoming: int = -1):
         # a fold, where f1 ~ a (lambda - lambda_f)^2 + c: the layer flow
         # leaves towards sign(a)
         away = f1_dlam(0.0, x2, x3, lam + 1e-6) - f1_dlam(0.0, x2, x3, lam - 1e-6)
+    # near a fold lambda ~ sqrt(t_ev - t), which the step's cubic interpolant
+    # follows poorly: one Newton step from it can leave the exit off f1 = 0
+    for _ in range(30):
+        if abs(f1(0.0, x2, x3, lam)) <= RESIDUAL_TOL:
+            break
+        lam = project((lam, x2, x3))[0]
+    else:
+        raise SlidingResidualError(
+            f"sliding exit at (x2, x3) = ({x2!r}, {x3!r}) stays off f1 = 0")
     traj.events += 1
     traj.append(t_ev, (0.0, x2, x3), "sliding", lam)
     return t_ev, (0.0, x2, x3), 1 if away > 0 else -1

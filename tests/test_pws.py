@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import pwsfold as pf
 from pwsfold.cli import load_system_file
 from pwsfold.exceptions import SlidingResidualError, StepUnderflowError
-from pwsfold.pws import PwsOptions
+from pwsfold.pws import PwsOptions, _resolve_tangency
 from pwsfold.twofold import TwoFoldParams, build_normal_form
 
 
@@ -283,6 +283,64 @@ class TestSlidingLeg:
         (_, x2, x3), lam = traj.states[i], traj.lambdas[i]
         assert lam == pytest.approx(0.447, abs=0.005)
         assert abs(sys.f1_dlambda(0.0, x2, x3, lam)) < 1e-2
+
+    def test_every_sliding_record_lies_on_the_critical_manifold(self):
+        # lambda ~ sqrt(t* - t) near the fold at t = 1.42, where one Newton
+        # step from the step's interpolant left the exit record at |f1| 5e-7
+        sys = bundled("mixed_db")
+        traj = pf.integrate_pws(sys, (0.5, 1.0, 1.0), 5.0)
+        rows = [(x, lam) for x, m, lam in zip(traj.states, traj.modes, traj.lambdas)
+                if m == "sliding"]
+        assert len(rows) > 50
+        for (_, x2, x3), lam in rows:
+            assert abs(sys.f1(0.0, x2, x3, lam)) <= 1e-9
+
+    def test_start_without_a_sliding_root_leaves_to_the_sign_of_f1(self):
+        # x2 x3 < 0 is the crossing region of this normal form: f1 has no
+        # root lambda in [-1, 1], and f1(0, 1, -1, 0) = -1
+        sys = normal_form(1, 1, -2, -1, 0.0)
+        assert pf.sliding_lambdas(sys, 1.0, -1.0) == []
+        traj = pf.integrate_pws(sys, (0.0, 1.0, -1.0), 1.0)
+        assert traj.modes[0] == "sliding"
+        assert set(traj.modes[1:]) == {"free-"}
+        assert traj.events == 0
+        assert traj.times[-1] == 1.0
+
+
+class TestTangency:
+    # f+ = (-10 x1, 1, 0) reaches x1 = 0 tangentially, where its normal
+    # component and its curvature both vanish; f- decides what follows
+    GRAZING_PLUS = ("-10*x1", "1", "0")
+
+    def arrive(self, fminus):
+        sys = pf.PiecewiseSystem.from_strings(self.GRAZING_PLUS, fminus)
+        traj = pf.integrate_pws(sys, (0.01, 0.0, 0.0), 5.0)
+        order = [m for i, m in enumerate(traj.modes)
+                 if i == 0 or m != traj.modes[i - 1]]
+        i = traj.modes.index(order[1])
+        assert traj.times[i] == pytest.approx(2.013, abs=1e-3)
+        assert traj.times[-1] == 5.0
+        return traj, order
+
+    def test_slides_where_the_other_side_pushes_onto_the_surface(self):
+        traj, order = self.arrive(("1", "0", "1"))
+        assert order == ["free+", "sliding", "free+"]
+        assert traj.events == 2
+
+    def test_crosses_where_the_other_side_pulls_away(self):
+        traj, order = self.arrive(("-1", "0", "1"))
+        assert order == ["free+", "crossing", "free-"]
+        assert traj.final_state[0] == pytest.approx(-2.987, abs=1e-3)
+
+    def test_visible_fold_returns_to_its_own_side(self):
+        # f+ = (-x2, -1, 0) grazes the origin and curves back into x1 > 0
+        sys = pf.PiecewiseSystem.from_strings(("-x2", "-1", "0"), ("1", "0", "0"))
+        assert _resolve_tangency(sys, (0.0, 0.0, 0.0)) == 1
+
+    def test_two_fold_point_slides(self):
+        # both normal components vanish at the origin
+        sys = pf.PiecewiseSystem.from_strings(("-x2", "1", "0"), ("x3", "0", "1"))
+        assert _resolve_tangency(sys, (0.0, 0.0, 0.0)) == 0
 
 
 def test_oracle_equivalence_db_example_before_passage():

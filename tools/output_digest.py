@@ -4,13 +4,15 @@
 
 Run from anywhere; the package is imported from this checkout's src/. The
 outputs are the trajectory CSVs of event-driven runs on every bundled system,
-on a system whose f1 is cubic in lambda and on two invisible_db starts that
-slide into its folded node; regularized runs of examples i-iii at eps 1e-3
-with each built-in sigmoid, and at eps 1e-4 and 1e-5, where the layer step
-cap binds on most steps; a manifold CSV; the CSV of a regularized `examples`
-run; and the JSON that the CLI's classify, fit and folded commands write for
-the bundled normal forms. An empty `diff` of the printouts of two checkouts
-shows that these outputs are byte-identical. Stdlib only; takes about 10 s
+on a system whose f1 is cubic in lambda, on two invisible_db starts that
+slide into its folded node, and on three starts that reach the tangency and
+no-sliding-root policies (a grazing arrival that slides, one that crosses,
+and a start on the surface where f1 has no root); regularized runs of
+examples i-iii at eps 1e-3 with each built-in sigmoid, and at eps 1e-4 and
+1e-5, where the layer step cap binds on most steps; a manifold CSV; the CSV
+of a regularized `examples` run; and the JSON that the CLI's classify, fit
+and folded commands write for the bundled normal forms. An empty `diff` of the printouts of two checkouts
+shows that these outputs are byte-identical. Stdlib only; takes about 2 s
 on one core of a 2-core x86 host (Python 3.11).
 """
 
@@ -28,6 +30,7 @@ sys.path.insert(0, SRC)
 
 from pwsfold import cli, sim  # noqa: E402
 from pwsfold.pws import PiecewiseSystem, integrate_pws  # noqa: E402
+from pwsfold.twofold import TwoFoldParams, build_normal_form  # noqa: E402
 
 # (bundled system, start, t_end): the bases of the benchmark's event-driven
 # cases, and its two starts that slide into the folded node of invisible_db.
@@ -50,6 +53,17 @@ PWS_CASES = (
 )
 # Section-6 pair with a hidden term cubic in lambda (the root-scan path).
 CUBIC_SYSTEM = (("-1", "-1", "0"), ("1", "-1", "0"), ("0.2 + 0.1*lambda", "0", "0"))
+# (name, system, start, t_end): f+ = (-10 x1, 1, 0) grazes x1 = 0 near
+# t = 2.013, where f- makes it slide or cross; the normal form started in its
+# crossing region x2 x3 < 0 has no sliding root and leaves to sign(f1).
+POLICY_CASES = (
+    ("tangency_slide", PiecewiseSystem.from_strings(("-10*x1", "1", "0"), ("1", "0", "1")),
+     (0.01, 0.0, 0.0), 5.0),
+    ("tangency_cross", PiecewiseSystem.from_strings(("-10*x1", "1", "0"), ("-1", "0", "1")),
+     (0.01, 0.0, 0.0), 5.0),
+    ("no_sliding_root", build_normal_form(TwoFoldParams(1, 1, -2, -1, 0.0)),
+     (0.0, 1.0, -1.0), 1.0),
+)
 # (example, eps, t_end, sigmoid): regularized runs deep in the layer regime.
 SMALL_EPS_CASES = (
     ("ii", 1e-5, 10.0, "tanh"),
@@ -87,6 +101,10 @@ def digests():
                _sha(sim.trajectory_csv(traj)))
     traj = integrate_pws(PiecewiseSystem.from_strings(*CUBIC_SYSTEM), (0.5, 0.0, 0.0), 8.0)
     yield "pws/lambda_cubic/t=8", _sha(sim.trajectory_csv(traj))
+    for name, system, x0, t_end in POLICY_CASES:
+        traj = integrate_pws(system, x0, t_end)
+        yield (f"pws/{name}/x0={x0[0]!r},{x0[1]!r},{x0[2]!r}/t={t_end!r}",
+               _sha(sim.trajectory_csv(traj)))
 
     for which in sim.EXAMPLE_NAMES:
         for sigmoid in ("tanh", "algebraic", "cubic"):
