@@ -285,8 +285,8 @@ class TestSlidingLeg:
         assert abs(sys.f1_dlambda(0.0, x2, x3, lam)) < 1e-2
 
     def test_every_sliding_record_lies_on_the_critical_manifold(self):
-        # lambda ~ sqrt(t* - t) near the fold at t = 1.42, where one Newton
-        # step from the step's interpolant left the exit record at |f1| 5e-7
+        # the exit record sits at the fold at t = 1.42, where lambda ~
+        # sqrt(t* - t) and the step's cubic interpolant is a poor first guess
         sys = bundled("mixed_db")
         traj = pf.integrate_pws(sys, (0.5, 1.0, 1.0), 5.0)
         rows = [(x, lam) for x, m, lam in zip(traj.states, traj.modes, traj.lambdas)
