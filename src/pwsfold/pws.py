@@ -50,7 +50,14 @@ class SurfaceMode(enum.Enum):
 
 @dataclass(frozen=True)
 class PiecewiseSystem:
-    """Immutable triple of 3-component expression fields (f+, f-, g)."""
+    """Immutable triple of 3-component expression fields (f+, f-, g).
+
+    Every compiled quantity of the critical manifold
+    S = {f1(0, x2, x3; lambda) = 0} comes from combined_expressions: f1,
+    its lambda-partial f1_dlambda (zero on S's fold curve), its gradient
+    f1_gradient, and the reduced flow _sliding_field built from these.
+    Each compiles once, on first use.
+    """
 
     fplus: tuple[ex.Expression, ex.Expression, ex.Expression]
     fminus: tuple[ex.Expression, ex.Expression, ex.Expression]
@@ -102,11 +109,16 @@ class PiecewiseSystem:
             ex.differentiate(self.combined_expressions[0], "lambda"))
 
     @cached_property
-    def f1_surface_gradient(self):
-        """Compiled partials of the combined f1 with respect to x2 and x3."""
+    def f1_gradient(self):
+        """Compiled partials of the combined f1 with respect to x1, x2, x3.
+
+        At lambda = +-1 the other branch and the hidden term enter
+        multiplied by an exact 0, so the values there are those of the
+        side's own gradient of f1+- (provided the far one evaluates).
+        """
         f1 = self.combined_expressions[0]
-        return (ex.compile_expression(ex.differentiate(f1, "x2")),
-                ex.compile_expression(ex.differentiate(f1, "x3")))
+        return tuple(ex.compile_expression(ex.differentiate(f1, v))
+                     for v in ("x1", "x2", "x3"))
 
     @cached_property
     def _sliding_field(self):
@@ -116,7 +128,7 @@ class PiecewiseSystem:
         along the flow; it is unbounded at a fold, where df1/dlambda = 0.
         """
         combined, f1_dlam = self.combined, self.f1_dlambda
-        d2, d3 = self.f1_surface_gradient
+        _, d2, d3 = self.f1_gradient
 
         def fld(t, s):
             lam, x2, x3 = s
@@ -147,28 +159,28 @@ class PiecewiseSystem:
 
         return fld
 
-    @cached_property
-    def _branch_f1_gradients(self):
-        grads = []
-        for comps in (self.fplus, self.fminus):
-            g = tuple(ex.compile_expression(ex.differentiate(comps[0], v))
-                      for v in ("x1", "x2", "x3"))
-            grads.append(g)
-        return grads
-
     def surface_curvature(self, x, side: int) -> float:
-        """d/dt of f1(x(t); side) along the side's own flow (fold visibility)."""
+        """d/dt of f1(x(t); side) along the side's own flow (fold visibility).
+
+        This is grad f1+- . f+- for side = +-1, from f1_gradient at
+        lambda = side. The far branch's partials are evaluated too (times
+        0), so this raises where one of them is singular.
+        """
         lam = 1.0 if side > 0 else -1.0
         fn = self._branch_fields[0] if side > 0 else self._branch_fields[1]
-        grad = self._branch_f1_gradients[0 if side > 0 else 1]
         f = fn(x[0], x[1], x[2], lam)
-        return sum(grad[i](x[0], x[1], x[2], lam) * f[i] for i in range(3))
+        return sum(d(x[0], x[1], x[2], lam) * f[i]
+                   for i, d in enumerate(self.f1_gradient))
+
+
+def _check_lambda(lam: float) -> None:
+    if not -1.0 - 1e-12 <= lam <= 1.0 + 1e-12:
+        raise ValueError(f"lambda must lie in [-1, 1], got {lam!r}")
 
 
 def combination(sys: PiecewiseSystem, x, lam: float):
     """The lambda-weighted field at x; equals f+- exactly at lambda = +-1."""
-    if not -1.0 - 1e-12 <= lam <= 1.0 + 1e-12:
-        raise ValueError(f"lambda must lie in [-1, 1], got {lam!r}")
+    _check_lambda(lam)
     try:
         return sys.combined(x[0], x[1], x[2], lam)
     except (ZeroDivisionError, ValueError, OverflowError) as exc:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import expr as ex
 from .exceptions import NonHyperbolicPointError
-from .pws import PiecewiseSystem, sliding_lambdas
+from .pws import PiecewiseSystem, _check_lambda, combination, sliding_lambdas
 
 if TYPE_CHECKING:  # pragma: no cover
     from .twofold import TwoFoldParams
@@ -155,17 +155,19 @@ def compile_regularized_field(sys: PiecewiseSystem, s: Sigmoid, eps: float):
 
 def layer_field(sys: PiecewiseSystem, lam: float, x2: float, x3: float) -> float:
     """Fast critical subsystem: f1 on the surface, lambda as the layer variable."""
-    if not -1.0 - 1e-12 <= lam <= 1.0 + 1e-12:
-        raise ValueError(f"lambda must lie in [-1, 1], got {lam!r}")
+    _check_lambda(lam)
     return sys.f1(0.0, x2, x3, lam)
 
 
 def dummy_field(sys: PiecewiseSystem, x, lam: float):
     """(lambda', dx2/dt, dx3/dt): layer dynamics of lambda on the fast time,
-    slow drift of (x2, x3) on the original time."""
-    if not -1.0 - 1e-12 <= lam <= 1.0 + 1e-12:
-        raise ValueError(f"lambda must lie in [-1, 1], got {lam!r}")
-    return sys.combined(x[0], x[1], x[2], lam)
+    slow drift of (x2, x3) on the original time.
+
+    This is the lambda-weighted field itself, so it is combination(sys, x,
+    lam), with the same ValueError off [-1, 1] and EvaluationError where
+    the field does not evaluate.
+    """
+    return combination(sys, x, lam)
 
 
 # --- critical objects ---------------------------------------------------------
@@ -208,39 +210,49 @@ def critical_manifold(sys: PiecewiseSystem, x2_values: Sequence[float],
     return points
 
 
+def _fold_point(alpha: float, lam: float) -> tuple[float, float]:
+    """(x2, x3) where the normal form's df1/dlambda vanishes at lambda."""
+    return alpha * (lam - 1.0) ** 2, -alpha * (lam + 1.0) ** 2
+
+
+def _normal_form_f1_dlambda(alpha: float, lam: float, x2: float, x3: float) -> float:
+    """df1/dlambda of the two-fold normal form with hidden strength alpha."""
+    return -(x2 + x3) / 2.0 - 2.0 * alpha * lam
+
+
 def nonhyperbolic_curve(params: "TwoFoldParams", n: int) -> list[tuple[float, float, float]]:
     """Sample the curve where normal hyperbolicity fails, for the two-fold
     normal form with hidden strength alpha: (lambda, alpha (lambda-1)^2,
     -alpha (lambda+1)^2) for lambda in [-1, 1]."""
     if n < 2:
         raise ValueError("need at least 2 samples")
-    al = params.alpha
     out = []
     for i in range(n):
         lam = -1.0 + 2.0 * i / (n - 1)
+        x2, x3 = _fold_point(params.alpha, lam)
         # + 0.0 normalizes the -0.0 arising at the endpoints
-        out.append((lam, al * (lam - 1.0) ** 2 + 0.0, -al * (lam + 1.0) ** 2 + 0.0))
+        out.append((lam, x2 + 0.0, x3 + 0.0))
     return out
 
 
 def slow_u_dot(sys: PiecewiseSystem, s: Sigmoid, point: CriticalPoint) -> float:
     """Rate of travel of the layer variable u along the sliding flow.
 
-    On the critical manifold, u' = -(f2, f3) . (df1/dx2, df1/dx3) / (df1/du)
-    with df1/du = phi'(psi(lambda)) df1/dlambda. Non-hyperbolic points make
-    this 0/0, which is the folded-singularity signature.
+    By the chain rule through lambda = phi(u), u' = lambda' / phi'(psi(lambda)),
+    where lambda' is the reduced flow on the critical manifold that sliding
+    legs integrate, -(df1/dx2 f2 + df1/dx3 f3) / (df1/dlambda)
+    (PiecewiseSystem._sliding_field). Where |df1/du| = |phi' df1/dlambda|
+    is at most 1e-9 this is 0/0, the folded-singularity signature, and
+    NonHyperbolicPointError is raised.
     """
     lam, x2, x3 = point.lam, point.x2, point.x3
-    u = s.inverse(lam)
-    df1_dlam = sys.f1_dlambda(0.0, x2, x3, lam)
-    df1_du = s.derivative(u) * df1_dlam
+    phi_du = s.derivative(s.inverse(lam))
+    df1_du = phi_du * sys.f1_dlambda(0.0, x2, x3, lam)
     if abs(df1_du) <= _HYPERBOLICITY_TOL:
         raise NonHyperbolicPointError(
             f"df1/du = {df1_du:.3e} at lambda = {lam!r}; slow flow is "
             "indeterminate here (potential folded singularity)")
-    _, f2v, f3v = sys.combined(0.0, x2, x3, lam)
-    d2, d3 = sys.f1_surface_gradient
-    return -(f2v * d2(0.0, x2, x3, lam) + f3v * d3(0.0, x2, x3, lam)) / df1_du
+    return sys._sliding_field(0.0, (lam, x2, x3))[0] / phi_du
 
 
 # --- degeneracy of the unperturbed two-fold -----------------------------------
@@ -263,13 +275,11 @@ def degeneracy_probe(params: "TwoFoldParams", s: Sigmoid,
     u0 = s.inverse(lam)
 
     def d1_exact(u: float) -> float:
-        phi = s.value(u)
-        f1_phi = -(x2 + x3) / 2.0 - 2.0 * al * phi
+        f1_phi = _normal_form_f1_dlambda(al, s.value(u), x2, x3)
         return f1_phi * s.derivative(u)
 
     def d2_exact(u: float) -> float:
-        phi = s.value(u)
-        f1_phi = -(x2 + x3) / 2.0 - 2.0 * al * phi
+        f1_phi = _normal_form_f1_dlambda(al, s.value(u), x2, x3)
         return -2.0 * al * s.derivative(u) ** 2 + f1_phi * s.second_derivative(u)
 
     if r == 1:

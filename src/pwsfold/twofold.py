@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import expr as ex
 from .exceptions import DegenerateClassificationError, DegenerateSystemError
 from .pws import PiecewiseSystem
-from .regularize import Sigmoid
+from .regularize import Sigmoid, _fold_point, _normal_form_f1_dlambda
 from .roots import real_quadratic_roots
 
 __all__ = [
@@ -147,16 +147,12 @@ def folded_conditions_residuals(p: TwoFoldParams, s: Sigmoid,
                                 phi_s: float) -> tuple[float, float, float]:
     """|f1|, |df1/du|, |(f2,f3) . df1/d(x2,x3)| at the folded point."""
     al = p.alpha
-    x2s = al * (phi_s - 1.0) ** 2
-    x3s = -al * (phi_s + 1.0) ** 2
-    u_s = s.inverse(phi_s)
+    x2s, x3s = _fold_point(al, phi_s)
     f1 = (0.5 * (1.0 + phi_s) * (-x2s) + 0.5 * (1.0 - phi_s) * x3s
           + al * (1.0 - phi_s ** 2))
-    df1_dphi = -0.5 * (x2s + x3s) - 2.0 * al * phi_s
-    df1_du = df1_dphi * s.derivative(u_s)
-    f2s, f3s = _f23(p, phi_s)
-    proj = f2s * (-0.5 * (1.0 + phi_s)) + f3s * (0.5 * (1.0 - phi_s))
-    return abs(f1), abs(df1_du), abs(proj)
+    df1_du = (_normal_form_f1_dlambda(al, phi_s, x2s, x3s)
+              * s.derivative(s.inverse(phi_s)))
+    return abs(f1), abs(df1_du), abs(folded_point_residual(p, phi_s))
 
 
 # --- canonical coefficients ----------------------------------------------------
@@ -248,8 +244,7 @@ def transformed_field(p: TwoFoldParams, s: Sigmoid, phi_s: float):
     D = s.derivative(u_s)
     sq = math.sqrt(abs(al) * D)
     d1 = -0.5 * (1.0 + P)
-    x2s = al * (P - 1.0) ** 2
-    x3s = -al * (P + 1.0) ** 2
+    x2s, x3s = _fold_point(al, P)
     comb = build_normal_form(p).combined
 
     def field(xt1: float, xt2: float, xt3: float):
@@ -363,12 +358,12 @@ def folded_reports(p: TwoFoldParams, s: Sigmoid) -> list[FoldedReport]:
     for phi_s in folded_points(p):
         p_t, q_t, r_t = canonical_coefficients(p, s, phi_s)
         cls, canard = classify_folded(p_t, q_t, r_t)
-        al = p.alpha
+        x2s, x3s = _fold_point(p.alpha, phi_s)
         out.append(FoldedReport(
             phi_s=phi_s,
             u_s=s.inverse(phi_s),
-            x2s=al * (phi_s - 1.0) ** 2,
-            x3s=-al * (phi_s + 1.0) ** 2,
+            x2s=x2s,
+            x3s=x3s,
             p=p_t, q=q_t, r=r_t,
             folded_class=cls, canard=canard,
             flavour=tc.flavour,

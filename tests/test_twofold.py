@@ -252,7 +252,7 @@ def sliding_side_class(p: TwoFoldParams, report) -> FoldedClass:
     closed form and no canonical fit enter.
     """
     sys = build_normal_form(p)
-    dlam, (d2, d3) = sys.f1_dlambda, sys.f1_surface_gradient
+    dlam, (_, d2, d3) = sys.f1_dlambda, sys.f1_gradient
 
     def flow(v):
         x2, x3, lam = v
