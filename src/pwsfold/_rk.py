@@ -134,7 +134,7 @@ class Dopri3:
         while True:
             if n >= max_steps:
                 raise StepBudgetError(f"exceeded max_steps={max_steps}")
-            if h < tiny:
+            if not h >= tiny:  # a NaN step, from overflowing norms, too
                 raise StepUnderflowError(f"step size underflow at t={t!r}")
             n += 1
             self.nsteps = n

@@ -65,8 +65,11 @@ def load_system_file(path: str) -> SystemFile:
             raise _fail(path, "normal_form.alpha: must be a number")
         if vals["a1"] not in (-1, 1) or vals["a2"] not in (-1, 1):
             raise _fail(path, "normal_form.a1/a2: must be +1 or -1")
-        params = TwoFoldParams(int(vals["a1"]), int(vals["a2"]),
-                               float(vals["b1"]), float(vals["b2"]), float(alpha))
+        try:
+            params = TwoFoldParams(int(vals["a1"]), int(vals["a2"]),
+                                   float(vals["b1"]), float(vals["b2"]), float(alpha))
+        except ValueError as exc:
+            raise _fail(path, f"normal_form: {exc}") from exc
         return SystemFile(build_normal_form(params), params)
 
     def expressions(key, required):
@@ -100,6 +103,8 @@ def _parse_grid(spec: str, flag: str) -> list[float]:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ValidationError(f"{flag}: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"{flag}: LO and HI must be finite, got {spec!r}")
     if n < 1:
         raise ValidationError(f"{flag}: COUNT must be at least 1")
     if n == 1:
@@ -112,9 +117,12 @@ def _parse_x0(spec: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise ValidationError(f"--x0: expected three comma-separated reals, got {spec!r}")
     try:
-        return tuple(float(v) for v in parts)  # type: ignore[return-value]
+        x0 = tuple(float(v) for v in parts)
     except ValueError as exc:
         raise ValidationError(f"--x0: {exc}") from exc
+    if not all(math.isfinite(v) for v in x0):
+        raise ValidationError(f"--x0: values must be finite, got {spec!r}")
+    return x0  # type: ignore[return-value]
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -40,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TwoFoldParams:
-    """Normal-form constants; a1, a2 are restricted to +-1."""
+    """Normal-form constants; a1, a2 are restricted to +-1, the rest finite."""
 
     a1: int
     a2: int
@@ -51,6 +51,9 @@ class TwoFoldParams:
     def __post_init__(self):
         if self.a1 not in (-1, 1) or self.a2 not in (-1, 1):
             raise ValueError("a1 and a2 must be +1 or -1")
+        for name in ("b1", "b2", "alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 class Flavour(enum.Enum):

@@ -48,6 +48,16 @@ class TestClassify:
         assert run(["classify", path]) == 2
         assert "normal_form.b1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["b1", "b2", "alpha"])
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, field):
+        # Python's json reads NaN and Infinity
+        nf = {"a1": 1, "a2": 1, "b1": -2, "b2": -1, "alpha": 0.2, field: float("nan")}
+        path = write_json(tmp_path, "nan.json", {"normal_form": nf})
+        assert run(["classify", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert path in captured.err and field in captured.err
+
     def test_expression_file_rejected(self, tmp_path, capsys):
         path = write_json(tmp_path, "e.json", {
             "fplus": ["-x2", "1", "-2"], "fminus": ["x3", "-1", "1"]})
@@ -143,6 +153,14 @@ class TestManifold:
                     "--x2", "0:1:0", "--x3", "0:1:3"]) == 2
         assert "COUNT" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["nan:1:3", "-1:inf:3"])
+    def test_non_finite_grid_exit_2(self, tmp_path, capsys, grid):
+        out = tmp_path / "m.csv"
+        assert run(["manifold", bundled("invisible_db.json"), f"--x2={grid}",
+                    "--x3=0:1:3", "--out", str(out)]) == 2
+        assert "--x2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifold_csv_content(self, tmp_path):
         out = tmp_path / "m.csv"
         assert run(["manifold", bundled("invisible_db.json"),
@@ -216,6 +234,14 @@ class TestSimulate:
                     "--x0=-5,0,0", "--x0", "1,0,0", "--out", str(out / "b.csv")])
         assert code == 3
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("x0", ["nan,0,0", "0,inf,0"])
+    def test_non_finite_x0_exit_2(self, tmp_path, capsys, x0):
+        out = tmp_path / "n.csv"
+        assert run(["simulate", bundled("invisible_db.json"), "--mode", "pws",
+                    "--t-end", "1", f"--x0={x0}", "--out", str(out)]) == 2
+        assert "--x0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_x0_after_space(self, tmp_path):
         spaced, attached = tmp_path / "s.csv", tmp_path / "a.csv"

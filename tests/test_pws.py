@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pwsfold as pf
+from pwsfold import expr as ex
 from pwsfold.cli import load_system_file
 from pwsfold.exceptions import SlidingResidualError, StepUnderflowError
 from pwsfold.pws import PwsOptions, _resolve_tangency
@@ -155,6 +156,20 @@ class TestSlidingLambdas:
                 continue
             roots = pf.sliding_lambdas(sys, x2, x3)
             assert any(sys.f1_dlambda(0.0, x2, x3, r) < 0.0 for r in roots)
+
+
+class TestSurfaceCurvature:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(BUNDLED), st.floats(-5, 5), st.floats(-5, 5),
+           st.sampled_from((1, -1)))
+    def test_equals_own_gradient_dot_own_field(self, sys, x2, x3, side):
+        # grad f1+- . f+- from the side's own trees, by the interpreter
+        comps = sys.fplus if side > 0 else sys.fminus
+        at = (0.0, x2, x3, float(side))
+        f = [ex.evaluate(c, *at) for c in comps]
+        want = sum(ex.evaluate(ex.differentiate(comps[0], v), *at) * f[i]
+                   for i, v in enumerate(("x1", "x2", "x3")))
+        assert sys.surface_curvature((0.0, x2, x3), side).hex() == want.hex()
 
 
 class TestSlidingField:

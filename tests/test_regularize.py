@@ -1,10 +1,13 @@
 import math
+import os
 import random
 
 import pytest
 
 import pwsfold as pf
-from pwsfold.exceptions import NonHyperbolicPointError
+from pwsfold import expr as ex
+from pwsfold.cli import load_system_file
+from pwsfold.exceptions import EvaluationError, NonHyperbolicPointError
 from pwsfold.regularize import (Stability, builtin_sigmoid, critical_manifold,
                                 critical_manifold_csv, degeneracy_probe,
                                 dummy_field, layer_field, nonhyperbolic_curve,
@@ -14,6 +17,11 @@ from pwsfold.regularize import (Stability, builtin_sigmoid, critical_manifold,
 from pwsfold.twofold import TwoFoldParams, build_normal_form
 
 SIGMOIDS = [builtin_sigmoid(n) for n in ("tanh", "algebraic", "cubic")]
+
+
+SYSTEMS_DIR = os.path.join(os.path.dirname(pf.__file__), "systems")
+BUNDLED = tuple(load_system_file(os.path.join(SYSTEMS_DIR, name)).system
+                for name in sorted(os.listdir(SYSTEMS_DIR)))
 
 
 def normal_form(a1=1, a2=1, b1=-2, b2=-1, alpha=0.0):
@@ -240,6 +248,30 @@ class TestSlowUDot:
         predicted = slow_u_dot(sys, s, point)
         assert predicted == pytest.approx(u_fd, rel=0.01)
 
+    @pytest.mark.parametrize("s", SIGMOIDS, ids=lambda s: s.name)
+    def test_equals_reduced_flow_formula(self, s):
+        # u' = -(df1/dx2 f2 + df1/dx3 f3) / (phi' df1/dlambda), every
+        # factor from the expression trees by the interpreter
+        grid = [-2.0 + 0.2 * i for i in range(21)]
+        checked = 0
+        for sys in BUNDLED:
+            f1 = sys.combined_expressions[0]
+            d2, d3, dlam = (ex.differentiate(f1, v) for v in ("x2", "x3", "lambda"))
+            for pt in critical_manifold(sys, grid, grid):
+                if abs(pt.lam) >= 1.0:
+                    continue
+                at = (0.0, pt.x2, pt.x3, pt.lam)
+                df1_du = s.derivative(s.inverse(pt.lam)) * ex.evaluate(dlam, *at)
+                if abs(df1_du) <= 1e-9:
+                    continue
+                f2 = ex.evaluate(sys.combined_expressions[1], *at)
+                f3 = ex.evaluate(sys.combined_expressions[2], *at)
+                want = -(ex.evaluate(d2, *at) * f2 + ex.evaluate(d3, *at) * f3) / df1_du
+                got = slow_u_dot(sys, s, pt)
+                assert math.isclose(got, want, rel_tol=1e-15, abs_tol=0.0), (pt, got, want)
+                checked += 1
+        assert checked > 1000
+
     def test_numerator_structure(self):
         # numerator (f2,f3) . df1/d(x2,x3) equals the folded-point projection
         # expression evaluated at the sliding root
@@ -257,6 +289,13 @@ class TestDummyField:
     def test_section6_literal_value(self):
         sys = pf.PiecewiseSystem.from_strings(("1", "-1", "0"), ("-1", "-1", "0"))
         assert dummy_field(sys, (0.0, 0.0, 0.0), 0.5) == pytest.approx((0.5, -1.0, 0.0))
+
+    def test_evaluation_error_where_combination_raises(self):
+        sys = pf.PiecewiseSystem.from_strings(("1", "0", "0"), ("1/x2", "0", "0"))
+        with pytest.raises(EvaluationError):
+            pf.combination(sys, (0.0, 0.0, 0.0), 0.5)
+        with pytest.raises(EvaluationError):
+            dummy_field(sys, (0.0, 0.0, 0.0), 0.5)
 
     def test_equilibria_coincide_with_sliding_lambdas(self):
         sys = normal_form(alpha=0.2)

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pwsfold._rk import Dopri3, hermite
+from pwsfold.exceptions import StepUnderflowError
+from pwsfold.pws import IntegratorOptions, integrate_pws
 from pwsfold.regularize import builtin_sigmoid, compile_regularized_field
-from pwsfold.sim import example_system
+from pwsfold.sim import example_system, run_example
 
 
 def cubic(c, t):
@@ -110,3 +112,13 @@ class TestStepper:
         stepper.advance_to(101.0)
         assert stepper.t == 101.0
         assert stepper.x == pytest.approx((0.0, 1.0, 1.0), rel=1e-12)
+
+    def test_overflowing_start_underflows_instead_of_looping(self):
+        # |f|^2 and |x|^2 overflow, so the first step is inf/inf = NaN; a
+        # NaN step must stop the run at once, not use up max_steps
+        opts = IntegratorOptions(max_steps=10_000)
+        x0 = (1e160, 0.0, 0.0)
+        with pytest.raises(StepUnderflowError):
+            integrate_pws(example_system("i"), x0, 1.0, opts)
+        with pytest.raises(StepUnderflowError):
+            run_example("i", 1e-3, 1.0, x0=x0, opts=opts)

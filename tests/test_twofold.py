@@ -29,6 +29,13 @@ class TestParams:
         with pytest.raises(ValueError):
             TwoFoldParams(1, 0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("field", ["b1", "b2", "alpha"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = {"a1": 1, "a2": 1, "b1": -2.0, "b2": -1.0, "alpha": 0.2, field: value}
+        with pytest.raises(ValueError, match=field):
+            TwoFoldParams(**kwargs)
+
 
 class TestBuildNormalForm:
     def test_fields(self):
