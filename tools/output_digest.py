@@ -11,9 +11,13 @@ and a start on the surface where f1 has no root); regularized runs of
 examples i-iii at eps 1e-3 with each built-in sigmoid, and at eps 1e-4 and
 1e-5, where the layer step cap binds on most steps; a manifold CSV; the CSV
 of a regularized `examples` run; and the JSON that the CLI's classify, fit
-and folded commands write for the bundled normal forms. An empty `diff` of the printouts of two checkouts
-shows that these outputs are byte-identical. Stdlib only; takes about 2 s
-on one core of a 2-core x86 host (Python 3.11).
+and folded commands write for the bundled normal forms. Then the critical-manifold
+quantities, as float.hex text: surface_curvature of every bundled system on
+both sides of a grid of surface points, and slow_u_dot, degeneracy_probe and
+folded_conditions_residuals of the bundled normal forms with each built-in
+sigmoid. An empty `diff` of the printouts of two checkouts shows that these
+outputs are byte-identical. Stdlib only; takes about 2 s on one core of a
+2-core x86 host (Python 3.11).
 """
 
 from __future__ import annotations
@@ -30,7 +34,11 @@ sys.path.insert(0, SRC)
 
 from pwsfold import cli, sim  # noqa: E402
 from pwsfold.pws import PiecewiseSystem, integrate_pws  # noqa: E402
-from pwsfold.twofold import TwoFoldParams, build_normal_form  # noqa: E402
+from pwsfold.regularize import (SIGMOID_NAMES, builtin_sigmoid,  # noqa: E402
+                                critical_manifold, degeneracy_probe,
+                                nonhyperbolic_curve, slow_u_dot)
+from pwsfold.twofold import (TwoFoldParams, build_normal_form,  # noqa: E402
+                             folded_conditions_residuals, folded_points)
 
 # (bundled system, start, t_end): the bases of the benchmark's event-driven
 # cases, and its two starts that slide into the folded node of invisible_db.
@@ -71,6 +79,9 @@ SMALL_EPS_CASES = (
     ("iii", 1e-4, 16.0, "tanh"),
 )
 NORMAL_FORMS = ("invisible_db", "visible_db", "mixed_db")
+BUNDLED = ("example_i", "example_ii", "example_iii", "invisible_db", "mixed_db",
+           "section6_linear", "section6_nonlinear", "visible_db")
+GRID = tuple(-2.0 + 0.2 * i for i in range(21))
 
 
 def _system_path(name: str) -> str:
@@ -90,6 +101,40 @@ def _cli_output(argv, out: str) -> bytes:
         code = cli.main(argv + ["--out", out])
     with open(out, "rb") as fh:
         return f"exit={code}\n{printed.getvalue()}".encode() + fh.read()
+
+
+def _hex_or_error(fn, *args) -> str:
+    """float.hex of each value fn returns, or the name of what it raises."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the failure is the output
+        return type(exc).__name__
+    values = value if isinstance(value, tuple) else (value,)
+    return " ".join(v.hex() for v in values)
+
+
+def _manifold_quantities():
+    """Yield (name, text) for the critical-manifold quantities."""
+    for name in BUNDLED:
+        system = cli.load_system_file(_system_path(name)).system
+        yield f"surface_curvature/{name}", "\n".join(
+            _hex_or_error(system.surface_curvature, (0.0, x2, x3), side)
+            for x2 in GRID for x3 in GRID for side in (1, -1))
+    forms = [cli.load_system_file(_system_path(name)) for name in NORMAL_FORMS]
+    sigmoids = [builtin_sigmoid(n) for n in SIGMOID_NAMES]
+    yield "slow_u_dot/normal_forms", "\n".join(
+        _hex_or_error(slow_u_dot, sf.system, s, pt)
+        for sf in forms for s in sigmoids
+        for pt in critical_manifold(sf.system, GRID, GRID))
+    yield "degeneracy_probe/normal_forms", "\n".join(
+        _hex_or_error(degeneracy_probe, sf.normal_form, s, point, r)
+        for sf in forms for s in sigmoids
+        for point in nonhyperbolic_curve(sf.normal_form, 11)[1:-1]
+        for r in (1, 2, 3, 4))
+    yield "folded_conditions_residuals/normal_forms", "\n".join(
+        _hex_or_error(folded_conditions_residuals, sf.normal_form, s, phi_s)
+        for sf in forms for s in sigmoids
+        for phi_s in folded_points(sf.normal_form))
 
 
 def digests():
@@ -128,6 +173,9 @@ def digests():
             for command in ("classify", "fit", "folded"):
                 yield (f"cli/{command}/{name}",
                        _sha(_cli_output([command, _system_path(name)], out)))
+
+    for name, text in _manifold_quantities():
+        yield name, _sha(text)
 
 
 def main() -> int:
