@@ -240,10 +240,9 @@ def slow_u_dot(sys: PiecewiseSystem, s: Sigmoid, point: CriticalPoint) -> float:
 
     By the chain rule through lambda = phi(u), u' = lambda' / phi'(psi(lambda)),
     where lambda' is the reduced flow on the critical manifold that sliding
-    legs integrate, -(df1/dx2 f2 + df1/dx3 f3) / (df1/dlambda)
-    (PiecewiseSystem._sliding_field). Where |df1/du| = |phi' df1/dlambda|
-    is at most 1e-9 this is 0/0, the folded-singularity signature, and
-    NonHyperbolicPointError is raised.
+    legs integrate (PiecewiseSystem._sliding_field). Where
+    |df1/du| = |phi' df1/dlambda| is at most 1e-9 this is 0/0, the
+    folded-singularity signature, and NonHyperbolicPointError is raised.
     """
     lam, x2, x3 = point.lam, point.x2, point.x3
     phi_du = s.derivative(s.inverse(lam))
