@@ -11,7 +11,9 @@ and a start on the surface where f1 has no root); regularized runs of
 examples i-iii at eps 1e-3 with each built-in sigmoid, and at eps 1e-4 and
 1e-5, where the layer step cap binds on most steps; a manifold CSV; the CSV
 of a regularized `examples` run; and the JSON that the CLI's classify, fit
-and folded commands write for the bundled normal forms. Then the critical-manifold
+and folded commands write for the bundled normal forms; the exit code,
+standard output and standard error of failing CLI calls, one per error path
+(temporary paths replaced by a fixed token). Then the critical-manifold
 quantities, as float.hex text: surface_curvature of every bundled system on
 both sides of a grid of surface points, and slow_u_dot, degeneracy_probe and
 folded_conditions_residuals of the bundled normal forms with each built-in
@@ -25,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -103,6 +106,41 @@ def _cli_output(argv, out: str) -> bytes:
         return f"exit={code}\n{printed.getvalue()}".encode() + fh.read()
 
 
+def _cli_error(argv, tmp: str) -> bytes:
+    """Exit code, standard output and standard error of a failing call,
+    with tmp replaced by a fixed token."""
+    printed, errors = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(errors):
+        code = cli.main(argv)
+    text = f"exit={code}\n{printed.getvalue()}\n{errors.getvalue()}"
+    return text.replace(tmp, "<tmp>").encode()
+
+
+def _error_cases(tmp: str):
+    """Yield (name, argv) for one failing CLI call per error path."""
+    def write(name, text):
+        path = os.path.join(tmp, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return path
+
+    bad_json = write("bad.json", "{")
+    zero_div = write("zero_div.json", json.dumps(
+        {"fplus": ["1/(x2-x2)", "0", "0"], "fminus": ["1", "0", "0"]}))
+    singular = write("singular.json", json.dumps(
+        {"fplus": ["-1/x1", "0", "0"], "fminus": ["1", "0", "0"]}))
+    out = ["--out", os.path.join(tmp, "never.csv")]
+    yield "missing_file", ["classify", os.path.join(tmp, "missing.json")]
+    yield "invalid_json", ["show", bad_json]
+    yield "no_normal_form", ["classify", singular]
+    yield "unknown_example", ["examples", "iv", "--eps", "1e-3", "--t-end", "1"]
+    yield "eps_zero", ["examples", "i", "--eps", "0", "--t-end", "1"] + out
+    yield "zero_division", ["simulate", zero_div, "--mode", "pws", "--t-end", "1",
+                            "--x0", "1,0,0"] + out
+    yield "integration_error", ["simulate", singular, "--mode", "pws", "--t-end", "2",
+                                "--x0", "1,0,0"] + out
+
+
 def _hex_or_error(fn, *args) -> str:
     """float.hex of each value fn returns, or the name of what it raises."""
     try:
@@ -173,6 +211,8 @@ def digests():
             for command in ("classify", "fit", "folded"):
                 yield (f"cli/{command}/{name}",
                        _sha(_cli_output([command, _system_path(name)], out)))
+        for name, argv in _error_cases(tmp):
+            yield f"cli/error/{name}", _sha(_cli_error(argv, tmp))
 
     for name, text in _manifold_quantities():
         yield name, _sha(text)
