@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import sim
 from .exceptions import IntegrationError, PwsfoldError, ValidationError
 from .pws import PiecewiseSystem, Trajectory, integrate_pws
-from .regularize import (builtin_sigmoid, critical_manifold,
+from .regularize import (Sigmoid, builtin_sigmoid, critical_manifold,
                          critical_manifold_csv, nonhyperbolic_curve,
                          nonhyperbolic_curve_csv, SIGMOID_NAMES)
 from .twofold import (TwoFoldParams, build_normal_form, classify_twofold,
@@ -136,10 +136,12 @@ def _write_text(path: str | None, text: str) -> None:
 # --- commands ----------------------------------------------------------------
 
 
-def _require_normal_form(sf: SystemFile, path: str) -> TwoFoldParams:
-    if sf.normal_form is None:
-        raise ValidationError(f"{path}: normal_form: missing (required by this command)")
-    return sf.normal_form
+def _normal_form_and_sigmoid(args) -> tuple[TwoFoldParams, Sigmoid]:
+    """The normal form of args.file and the sigmoid named by --sigmoid."""
+    params = load_system_file(args.file).normal_form
+    if params is None:
+        raise _fail(args.file, "normal_form: missing (required by this command)")
+    return params, builtin_sigmoid(args.sigmoid)
 
 
 def _folded_json(params: TwoFoldParams, s) -> list[dict]:
@@ -151,9 +153,7 @@ def _folded_json(params: TwoFoldParams, s) -> list[dict]:
 
 
 def cmd_classify(args) -> int:
-    sf = load_system_file(args.file)
-    params = _require_normal_form(sf, args.file)
-    s = builtin_sigmoid(args.sigmoid)
+    params, s = _normal_form_and_sigmoid(args)
     tc = classify_twofold(params)
     report = {
         "flavour": tc.flavour.value,
@@ -165,17 +165,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_folded(args) -> int:
-    sf = load_system_file(args.file)
-    params = _require_normal_form(sf, args.file)
-    report = _folded_json(params, builtin_sigmoid(args.sigmoid))
+    report = _folded_json(*_normal_form_and_sigmoid(args))
     _write_text(args.out, json.dumps(report, indent=2) + "\n")
     return 0
 
 
 def cmd_fit(args) -> int:
-    sf = load_system_file(args.file)
-    params = _require_normal_form(sf, args.file)
-    s = builtin_sigmoid(args.sigmoid)
+    params, s = _normal_form_and_sigmoid(args)
     rows = []
     for phi_s in folded_points(params):
         p_c, q_c, r_c = canonical_coefficients(params, s, phi_s)
@@ -226,28 +222,29 @@ def cmd_manifold(args) -> int:
     return 0
 
 
-def _simulate_one(sf: SystemFile, args, x0) -> Trajectory:
+def _simulate_one(system: PiecewiseSystem, args, x0) -> Trajectory:
     opts = sim.IntegratorOptions(dense_output_stride=args.stride)
     if args.mode == "regularized":
         if args.eps is None:
             raise ValidationError("--eps: required in regularized mode")
         if not 0.0 < args.eps < math.inf:
             raise ValidationError("--eps: must be positive and finite")
-        return sim.regularized_trajectory(sf.system, builtin_sigmoid(args.sigmoid),
+        return sim.regularized_trajectory(system, builtin_sigmoid(args.sigmoid),
                                           args.eps, x0, args.t_end, opts)
-    return integrate_pws(sf.system, x0, args.t_end, opts)
+    return integrate_pws(system, x0, args.t_end, opts)
 
 
-def cmd_simulate(args) -> int:
-    sf = load_system_file(args.file)
+def _simulate(system: PiecewiseSystem, args, default_x0) -> int:
+    """Run simulate or examples: each --x0 (default_x0 when none is given)
+    to --t-end, trajectory CSV to --out, a summary line per run."""
     if not 0.0 < args.t_end < math.inf:
         raise ValidationError("--t-end: must be positive and finite")
-    x0s = [_parse_x0(s) for s in args.x0] or [(0.1, 0.1, 0.1)]
+    x0s = [_parse_x0(s) for s in args.x0] or [default_x0]
     if len(x0s) > 1 and (args.out is None or args.out == "-"):
         raise ValidationError("--out: required when several --x0 are given")
 
     # all runs before any write, so a failed start leaves no output file
-    trajs = [_simulate_one(sf, args, x0) for x0 in x0s]
+    trajs = [_simulate_one(system, args, x0) for x0 in x0s]
     for i, traj in enumerate(trajs):
         if len(trajs) == 1:
             out = args.out
@@ -263,17 +260,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def cmd_simulate(args) -> int:
+    return _simulate(load_system_file(args.file).system, args, (0.1, 0.1, 0.1))
+
+
 def cmd_examples(args) -> int:
-    args.file = bundled_example_path(args.which)
-    if not args.x0:
-        args.x0 = [",".join(repr(v) for v in sim.DEFAULT_EXAMPLE_X0[args.which])]
-    return cmd_simulate(args)
-
-
-def bundled_example_path(which: str) -> str:
-    if which not in sim.EXAMPLE_NAMES:
-        raise ValidationError(f"unknown example {which!r}; choose from i, ii, iii")
-    return os.path.join(os.path.dirname(__file__), "systems", f"example_{which}.json")
+    system = sim.example_system(args.which)
+    return _simulate(system, args, sim.DEFAULT_EXAMPLE_X0[args.which])
 
 
 # --- entry point ----------------------------------------------------------------
@@ -364,20 +357,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(_attach_signed_values(list(argv)))
     try:
         return args.func(args)
-    except ValidationError as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except PwsfoldError as exc:
-        if isinstance(exc, IntegrationError):
-            _sys.stderr.write(f"integration failed: {exc}\n")
-            return 3
-        _sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ArithmeticError as exc:
+    except (IntegrationError, ArithmeticError) as exc:
         # compiled expression fields raise raw arithmetic errors
-        _sys.stderr.write(f"numerical failure: {exc!r}\n")
+        _sys.stderr.write(f"integration failed: {exc}\n" if isinstance(exc, IntegrationError)
+                          else f"numerical failure: {exc!r}\n")
         return 3
-    except ValueError as exc:
+    except (PwsfoldError, ValueError) as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -16,6 +16,7 @@ between threads.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -74,49 +75,28 @@ ONE = Const(1.0)
 
 # --- tokenizer -------------------------------------------------------------
 
-_SYMBOLS = "+-*/^()"
+# A number is made of decimal digits (str.isdecimal, what float() and int()
+# read); an identifier is a word character other than a decimal digit, then
+# word characters. Any other character that is not a space or a symbol is an
+# error.
+_TOKEN = re.compile(r"(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+                    r"|(?P<ident>[^\W\d]\w*)|(?P<symbol>[-+*/^()])"
+                    r"|(?P<space>\s+)|(?P<bad>.)", re.DOTALL)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token, then ('end', '', len(text)); a
+    symbol's kind is the symbol itself."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
             continue
-        if c in _SYMBOLS:
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(("number", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
+        value, pos = m.group(), m.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
+        tokens.append((value if kind == "symbol" else kind, value, pos))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 

@@ -365,8 +365,9 @@ class IntegratorOptions:
 PwsOptions = IntegratorOptions
 
 
-def _mode_of(state) -> str:
-    return "free+" if state[0] >= 0 else "free-"
+def _free_mode(x1: float) -> str:
+    """Sample mode off the surface: 'free+' where x1 >= 0, else 'free-'."""
+    return "free+" if x1 >= 0 else "free-"
 
 
 class _Recorder:
@@ -401,7 +402,7 @@ class _Recorder:
             if mode == "sliding":
                 append(t, (0.0, s[1], s[2]), mode, s[0])
             else:
-                append(t, s, mode or _mode_of(s), None)
+                append(t, s, mode or _free_mode(s[0]), None)
             k += 1
             t = k * stride
         self.k = k
@@ -460,10 +461,6 @@ def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
             t, x, region = _sliding_leg(sys, t, x, t_end, opts, traj, rec,
                                         incoming=last_free_region)
     return traj
-
-
-def _free_mode(region: int) -> str:
-    return "free+" if region > 0 else "free-"
 
 
 def _free_leg(sys, t, x, region, t_end, opts, traj, rec):

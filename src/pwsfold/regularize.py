@@ -295,6 +295,7 @@ def degeneracy_probe(params: "TwoFoldParams", s: Sigmoid,
 
 
 def _fmt(v: float) -> str:
+    """The CSV number format: enough digits to read the float back exactly."""
     return f"{v:.17g}"
 
 
@@ -306,7 +307,7 @@ def critical_manifold_csv(points: Iterable[CriticalPoint]) -> str:
 
 
 def nonhyperbolic_curve_csv(samples: Iterable[tuple[float, float, float]]) -> str:
-    lines = ["lambda,x2,x3,stability"]
-    for lam, x2, x3 in samples:
-        lines.append(f"{_fmt(lam)},{_fmt(x2)},{_fmt(x3)},non_hyperbolic")
-    return "\n".join(lines) + "\n"
+    """The (lambda, x2, x3) samples as critical_manifold_csv rows of
+    stability non_hyperbolic."""
+    return critical_manifold_csv(CriticalPoint(lam, x2, x3, Stability.NON_HYPERBOLIC)
+                                 for lam, x2, x3 in samples)

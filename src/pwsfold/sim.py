@@ -18,9 +18,9 @@ from typing import Callable, Iterable
 
 from ._rk import Dopri3
 from .exceptions import ValidationError
-from .pws import (IntegratorOptions, PiecewiseSystem, Trajectory, _mode_of,
+from .pws import (IntegratorOptions, PiecewiseSystem, Trajectory, _free_mode,
                   _Recorder)
-from .regularize import Sigmoid, builtin_sigmoid, compile_regularized_field
+from .regularize import Sigmoid, _fmt, builtin_sigmoid, compile_regularized_field
 
 __all__ = [
     "IntegratorOptions", "integrate_smooth", "regularized_trajectory",
@@ -45,13 +45,13 @@ def integrate_smooth(field: Callable, x0, t_end: float,
     stepper = Dopri3(field, 0.0, x0, rtol=opts.rel_tol, atol=opts.abs_tol,
                      max_steps=opts.max_steps, layer_eps=opts.layer_eps)
     traj = Trajectory()
-    traj.append(0.0, stepper.x, _mode_of(stepper.x), None)
+    traj.append(0.0, stepper.x, _free_mode(stepper.x[0]), None)
     emit = _Recorder(traj, opts.dense_output_stride).emit_through
     step_to, interpolant = stepper.step_to, stepper.interpolant
     while stepper.t < t_end:
         step_to(t_end)
         emit(stepper.t, interpolant)
-    traj.append(t_end, stepper.x, _mode_of(stepper.x), None)
+    traj.append(t_end, stepper.x, _free_mode(stepper.x[0]), None)
     return traj
 
 
@@ -111,7 +111,7 @@ def example_system(which: str) -> PiecewiseSystem:
     """One of the bundled oscillatory two-fold attractors ('i', 'ii', 'iii'),
     each with hidden term (1/5, 0, 0)."""
     if which not in EXAMPLE_NAMES:
-        raise ValidationError(f"unknown example {which!r}; choose from {EXAMPLE_NAMES}")
+        raise ValidationError(f"unknown example {which!r}; choose from {', '.join(EXAMPLE_NAMES)}")
     return _bundled_system(f"example_{which}")
 
 
@@ -144,10 +144,6 @@ def compare_trajectories(a: Trajectory, b: Trajectory,
 
 
 # --- CSV ---------------------------------------------------------------------------
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 def trajectory_csv(traj: Trajectory) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import expr as ex
 from .exceptions import DegenerateClassificationError, DegenerateSystemError
@@ -339,19 +339,9 @@ class FoldedReport:
     determinacy_breaking: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "phi_s": self.phi_s,
-            "u_s": self.u_s,
-            "x2s": self.x2s,
-            "x3s": self.x3s,
-            "p": self.p,
-            "q": self.q,
-            "r": self.r,
-            "folded_class": self.folded_class.value,
-            "canard": self.canard.value if self.canard is not None else None,
-            "flavour": self.flavour.value,
-            "determinacy_breaking": self.determinacy_breaking,
-        }
+        """Every field by name, in declaration order, enums by value."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.value if isinstance(v, enum.Enum) else v for k, v in values.items()}
 
 
 def folded_reports(p: TwoFoldParams, s: Sigmoid) -> list[FoldedReport]:
