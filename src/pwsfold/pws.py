@@ -408,6 +408,14 @@ class _Recorder:
         self.k = k
 
 
+def _check_start(x0, t_end: float) -> None:
+    """Reject a non-finite start or a t_end that is not positive and finite."""
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
+    if not all(math.isfinite(v) for v in x0):
+        raise ValueError(f"x0 must be finite, got {tuple(x0)!r}")
+
+
 def _entry_root(sys: PiecewiseSystem, x2: float, x3: float,
                 incoming: int) -> float | None:
     """Layer equilibrium first reached from lambda = incoming side."""
@@ -432,11 +440,10 @@ def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
     ends where lambda reaches +-1, leaving to side sign(lambda), or where
     df1/dlambda changes sign (a fold of the manifold, or a folded
     singularity), leaving to the side the layer flow departs to. Repelling
-    sliding continues but sets the trajectory's non_unique flag. t_end must
-    be positive and finite.
+    sliding continues but sets the trajectory's non_unique flag. x0 must be
+    finite and t_end positive and finite (ValueError otherwise).
     """
-    if not 0.0 < t_end < math.inf:
-        raise ValueError("t_end must be positive and finite")
+    _check_start(x0, t_end)
     opts = opts or IntegratorOptions()
     traj = Trajectory()
     rec = _Recorder(traj, opts.dense_output_stride)

@@ -18,8 +18,8 @@ from typing import Callable, Iterable
 
 from ._rk import Dopri3
 from .exceptions import ValidationError
-from .pws import (IntegratorOptions, PiecewiseSystem, Trajectory, _free_mode,
-                  _Recorder)
+from .pws import (IntegratorOptions, PiecewiseSystem, Trajectory, _check_start,
+                  _free_mode, _Recorder)
 from .regularize import Sigmoid, _fmt, builtin_sigmoid, compile_regularized_field
 
 __all__ = [
@@ -31,16 +31,15 @@ __all__ = [
 
 def integrate_smooth(field: Callable, x0, t_end: float,
                      opts: IntegratorOptions | None = None) -> Trajectory:
-    """Integrate dx/dt = field(t, x) from x0 to a finite t_end > 0 with
-    dense output.
+    """Integrate dx/dt = field(t, x) from a finite x0 to a finite t_end > 0
+    with dense output (ValueError otherwise).
 
     Sample modes are 'free+'/'free-' by the sign of x1. opts.layer_eps, when
     set, is the stepper's layer_eps: steps that start at |x1| < 10 layer_eps
     are capped at layer_eps / |f|. Use regularized_trajectory to also record
     the layer value of lambda.
     """
-    if not 0.0 < t_end < math.inf:
-        raise ValueError("t_end must be positive and finite")
+    _check_start(x0, t_end)
     opts = opts or IntegratorOptions()
     stepper = Dopri3(field, 0.0, x0, rtol=opts.rel_tol, atol=opts.abs_tol,
                      max_steps=opts.max_steps, layer_eps=opts.layer_eps)

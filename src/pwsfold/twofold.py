@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 from . import expr as ex
 from .exceptions import DegenerateClassificationError, DegenerateSystemError
@@ -40,7 +41,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TwoFoldParams:
-    """Normal-form constants; a1, a2 are restricted to +-1, the rest finite."""
+    """Normal-form constants; a1, a2 are restricted to +-1, the rest finite.
+
+    The normal form built from them is cached on the instance (_system), so
+    its field compiles once however many fits evaluate it.
+    """
 
     a1: int
     a2: int
@@ -54,6 +59,10 @@ class TwoFoldParams:
         for name in ("b1", "b2", "alpha"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+
+    @cached_property
+    def _system(self) -> PiecewiseSystem:
+        return build_normal_form(self)
 
 
 class Flavour(enum.Enum):
@@ -248,7 +257,7 @@ def transformed_field(p: TwoFoldParams, s: Sigmoid, phi_s: float):
     sq = math.sqrt(abs(al) * D)
     d1 = -0.5 * (1.0 + P)
     x2s, x3s = _fold_point(al, P)
-    comb = build_normal_form(p).combined
+    comb = p._system.combined
 
     def field(xt1: float, xt2: float, xt3: float):
         z1 = xt1 / sq

@@ -295,6 +295,16 @@ class TestSimulate:
         assert code == 3
 
 
+    def test_arithmetic_error_exit_3(self, tmp_path, capsys):
+        # compiled fields raise raw ZeroDivisionError, mapped to exit 3
+        path = write_json(tmp_path, "zero.json", {
+            "fplus": ["1/(x2-x2)", "0", "0"], "fminus": ["1", "0", "0"]})
+        code = run(["simulate", path, "--mode", "pws", "--t-end", "1",
+                    "--x0", "1,0,0", "--out", str(tmp_path / "z.csv")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ZeroDivisionError")
+
+
 class TestShow:
     def test_canonical_round_trip(self, capsys):
         from pwsfold import expr

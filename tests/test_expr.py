@@ -34,6 +34,14 @@ class TestParse:
         with pytest.raises(ParseError, match="unknown identifier"):
             expr.parse_expression("x1 + y")
 
+    @pytest.mark.parametrize("text", ["x1*²", "x1^²"])
+    def test_non_decimal_digit_is_a_parse_error(self, text):
+        # str.isdigit() holds for '²' but float() and int() reject it: the
+        # error used to escape as a raw ValueError without the offset
+        with pytest.raises(ParseError) as err:
+            expr.parse_expression(text)
+        assert err.value.position == 3
+
     def test_unknown_function(self):
         with pytest.raises(ParseError, match="unknown function"):
             expr.parse_expression("exp(x1)")

@@ -63,6 +63,22 @@ class TestIntegrateSmooth:
         with pytest.raises(ValueError, match="t_end"):
             pf.integrate_pws(section6_system(False), (0.5, 0.0, 0.0), t_end)
 
+    @pytest.mark.parametrize("x0", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                                    (0.1, 0.0, -math.inf)])
+    def test_rejects_non_finite_x0(self, x0):
+        # such a start raised StepUnderflowError at t = 0, naming the wrong fault
+        with pytest.raises(ValueError, match="x0"):
+            integrate_smooth(decay_field, x0, 1.0)
+        with pytest.raises(ValueError, match="x0"):
+            pf.run_example("ii", 1e-3, 1.0, x0=x0)
+        with pytest.raises(ValueError, match="x0"):
+            pf.integrate_pws(section6_system(False), x0, 1.0)
+
+    def test_unknown_example_names_the_choices(self):
+        with pytest.raises(pf.ValidationError) as err:
+            pf.example_system("iv")
+        assert str(err.value) == "unknown example 'iv'; choose from i, ii, iii"
+
     def test_matches_event_driven_away_from_surface(self):
         # x1' = -x1 keeps x1 > 0, so integrate_pws runs one free+ leg
         sys = pf.PiecewiseSystem.from_strings(("-x1", "x1 - x2", "1 - x3"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import pwsfold as pf
+from pwsfold import expr as ex
 from pwsfold.cli import load_system_file
 from pwsfold.exceptions import (DegenerateClassificationError,
                                 DegenerateSystemError)
@@ -196,6 +197,21 @@ class TestCanonicalFit:
         c_x2, c_x1sq = fit_fast_equation_coefficients(p, TANH, phi_s)
         assert c_x2 == pytest.approx(1.0, abs=1e-3)
         assert c_x1sq == pytest.approx(1.0, abs=1e-3)
+
+    def test_normal_form_compiles_once_per_params(self, monkeypatch):
+        calls = []
+        generate = ex._generate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "_generate", counting)
+        p = TwoFoldParams(1, 1, -2, -1, 0.2)
+        phi_s = folded_points(p)[0]
+        canonical_fit(p, TANH, phi_s)
+        fit_fast_equation_coefficients(p, TANH, phi_s)
+        assert len(calls) == 1
 
     def test_alpha_zero_rejected(self):
         with pytest.raises(DegenerateSystemError):
