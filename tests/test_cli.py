@@ -294,7 +294,6 @@ class TestSimulate:
                     "--x0", "1,0,0", "--out", str(tmp_path / "s.csv")])
         assert code == 3
 
-
     def test_arithmetic_error_exit_3(self, tmp_path, capsys):
         # compiled fields raise raw ZeroDivisionError, mapped to exit 3
         path = write_json(tmp_path, "zero.json", {
