@@ -282,28 +282,17 @@ def build_parser() -> argparse.ArgumentParser:
     def add_sigmoid(p):
         p.add_argument("--sigmoid", choices=SIGMOID_NAMES, default="tanh")
 
-    p = sub.add_parser("classify", help="two-fold class and folded-point report")
-    p.add_argument("file")
-    add_sigmoid(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("folded", help="folded-point report only")
-    p.add_argument("file")
-    add_sigmoid(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_folded)
-
-    p = sub.add_parser("fit", help="closed-form vs fitted canonical coefficients")
-    p.add_argument("file")
-    add_sigmoid(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("show", help="print the parsed system in canonical form")
-    p.add_argument("file")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_show)
+    for name, func, summary in (
+            ("classify", cmd_classify, "two-fold class and folded-point report"),
+            ("folded", cmd_folded, "folded-point report only"),
+            ("fit", cmd_fit, "closed-form vs fitted canonical coefficients"),
+            ("show", cmd_show, "print the parsed system in canonical form")):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("file")
+        if func is not cmd_show:
+            add_sigmoid(p)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("manifold", help="critical-manifold CSV sampler")
     p.add_argument("file")

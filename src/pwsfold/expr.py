@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 VARIABLES = ("x1", "x2", "x3", "lambda")
-FUNCTIONS = ("sin", "cos", "tanh", "sqrt", "abs")
 
 
 @dataclass(frozen=True)
@@ -71,6 +70,18 @@ Expression = Union[Const, Var, Neg, BinOp, Pow, Call]
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
+
+# The functions a Call may name: name -> (implementation, f'(u) as a tree in
+# the argument u). The interpreter calls the implementation, generated code
+# binds it to the local _<name>, and _diff applies the chain rule to f'(u).
+_FUNCS: dict[str, tuple[Callable, Callable]] = {
+    "sin": (math.sin, lambda u: Call("cos", u)),
+    "cos": (math.cos, lambda u: Neg(Call("sin", u))),
+    "tanh": (math.tanh, lambda u: _sub(ONE, Pow(Call("tanh", u), 2))),
+    "sqrt": (math.sqrt, lambda u: _div(ONE, _mul(Const(2.0), Call("sqrt", u)))),
+    "abs": (abs, lambda u: _div(u, Call("abs", u))),  # valid away from u = 0
+}
+FUNCTIONS = tuple(_FUNCS)
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -222,15 +233,6 @@ def to_text(e: Expression) -> str:
 
 # --- evaluation -------------------------------------------------------------
 
-_FUNC_IMPL: dict[str, Callable[[float], float]] = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tanh": math.tanh,
-    "sqrt": math.sqrt,
-    "abs": abs,
-}
-
-
 def evaluate(e: Expression, x1: float, x2: float, x3: float, lam: float) -> float:
     """Evaluate at a binding of the four variables. Non-finite results raise."""
     for name, v in (("x1", x1), ("x2", x2), ("x3", x3), ("lambda", lam)):
@@ -279,7 +281,7 @@ def _eval(e: Expression, x1: float, x2: float, x3: float, lam: float) -> float:
         arg = _eval(e.arg, x1, x2, x3, lam)
         if e.func == "sqrt" and arg < 0.0:
             raise EvaluationError(f"sqrt of negative value {arg!r}")
-        return _FUNC_IMPL[e.func](arg)
+        return _FUNCS[e.func][0](arg)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -363,20 +365,7 @@ def _diff(e: Expression, var: str) -> Expression:
         return _mul(Const(float(e.exponent)), _mul(Pow(e.base, e.exponent - 1), d))
     if isinstance(e, Call):
         d = _diff(e.arg, var)
-        if _is_zero(d):
-            return ZERO
-        u = e.arg
-        if e.func == "sin":
-            outer: Expression = Call("cos", u)
-        elif e.func == "cos":
-            outer = Neg(Call("sin", u))
-        elif e.func == "tanh":
-            outer = _sub(ONE, Pow(Call("tanh", u), 2))
-        elif e.func == "sqrt":
-            outer = _div(ONE, _mul(Const(2.0), Call("sqrt", u)))
-        else:  # abs: u/|u|, valid away from u = 0
-            outer = _div(u, Call("abs", u))
-        return _mul(outer, d)
+        return ZERO if _is_zero(d) else _mul(_FUNCS[e.func][1](e.arg), d)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -416,15 +405,6 @@ def polynomial_degree(e: Expression, var: str) -> int | None:
 
 # --- compilation to plain Python --------------------------------------------
 
-_FUNC_SOURCE = {
-    "sin": "_sin",
-    "cos": "_cos",
-    "tanh": "_tanh",
-    "sqrt": "_sqrt",
-    "abs": "abs",
-}
-
-
 def _py_source(e: Expression, sub: Callable[[Expression], str] | None = None) -> str:
     """Python source of e; sub prints its operands (default: this printer)."""
     sub = sub or _py_source
@@ -439,7 +419,7 @@ def _py_source(e: Expression, sub: Callable[[Expression], str] | None = None) ->
     if isinstance(e, Pow):
         return f"({sub(e.base)} ** {e.exponent})"
     if isinstance(e, Call):
-        return f"{_FUNC_SOURCE[e.func]}({sub(e.arg)})"
+        return f"_{e.func}({sub(e.arg)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -502,7 +482,7 @@ def _shared_source(exprs) -> list[str]:
     return [emit(e) for e in exprs]
 
 
-_PRELUDE = "_sin=math.sin, _cos=math.cos, _tanh=math.tanh, _sqrt=math.sqrt"
+_PRELUDE = ", ".join(f"_{name}=_{name}" for name in _FUNCS)
 
 
 def _generate(exprs, layer: tuple[str, str] | None = None) -> Callable:
@@ -530,7 +510,7 @@ def _generate(exprs, layer: tuple[str, str] | None = None) -> Callable:
         result = "(" + ", ".join(sources) + ")"
     else:
         result = sources[0]
-    ns: dict = {"math": math}
+    ns = {f"_{name}": impl for name, (impl, _) in _FUNCS.items()}
     exec(f"{head}    return {result}\n", ns)
     return ns["_f"]
 

@@ -162,13 +162,12 @@ class PiecewiseSystem:
     def surface_curvature(self, x, side: int) -> float:
         """d/dt of f1(x(t); side) along the side's own flow (fold visibility).
 
-        This is grad f1+- . f+- for side = +-1, from f1_gradient at
-        lambda = side. The far branch's partials are evaluated too (times
-        0), so this raises where one of them is singular.
+        This is grad f1+- . f+- for side = +-1: f1_gradient at lambda = side
+        dotted with branch_field(side). The far branch's partials are
+        evaluated too (times 0), so this raises where one of them is singular.
         """
         lam = 1.0 if side > 0 else -1.0
-        fn = self._branch_fields[0] if side > 0 else self._branch_fields[1]
-        f = fn(x[0], x[1], x[2], lam)
+        f = self.branch_field(side)(0.0, x)
         return sum(d(x[0], x[1], x[2], lam) * f[i]
                    for i, d in enumerate(self.f1_gradient))
 
@@ -304,14 +303,10 @@ class Trajectory:
         """Linearly interpolated state; t must lie inside the time range."""
         if not self.times or t < self.times[0] or t > self.times[-1]:
             raise ValueError(f"t = {t!r} outside trajectory range")
-        i = bisect.bisect_right(self.times, t)
+        i = bisect.bisect_right(self.times, t)  # >= 1, as t >= times[0]
         if i == len(self.times):
             return self.states[-1]
-        if i == 0:
-            return self.states[0]
-        t0, t1 = self.times[i - 1], self.times[i]
-        if t1 == t0:
-            return self.states[i]
+        t0, t1 = self.times[i - 1], self.times[i]  # t0 < t1: see append
         w = (t - t0) / (t1 - t0)
         a, b = self.states[i - 1], self.states[i]
         return tuple(a[j] + w * (b[j] - a[j]) for j in range(3))
@@ -471,7 +466,13 @@ def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
 
 
 def _free_leg(sys, t, x, region, t_end, opts, traj, rec):
-    """Integrate one open-region segment; returns (t, x, next_region)."""
+    """Integrate one open-region segment; returns (t, x, next_region).
+
+    A surface arrival picks the next region once: -region at a crossing
+    point, _resolve_tangency's choice at a tangency, and 0 (slide) at a
+    sliding point, which sets non_unique where sliding repels. The arrival
+    is recorded as 'crossing' when that region is nonzero, else 'sliding'.
+    """
     fld = sys.branch_field(region)
     stepper = Dopri3(fld, t, x, rtol=opts.rel_tol, atol=opts.abs_tol,
                      max_steps=opts.max_steps)
@@ -493,19 +494,13 @@ def _free_leg(sys, t, x, region, t_end, opts, traj, rec):
         traj.events += 1
         sm = classify_surface_point(sys, x_ev)
         if sm is SurfaceMode.CROSSING:
-            traj.append(t_ev, x_ev, "crossing", None)
-            return stepper.t, x_ev, -region
-        if sm in (SurfaceMode.ATTRACTING_SLIDING, SurfaceMode.REPELLING_SLIDING):
-            if sm is SurfaceMode.REPELLING_SLIDING:
-                traj.non_unique = True
-            traj.append(t_ev, x_ev, "sliding", None)
-            return stepper.t, x_ev, 0
-        # tangency: continue in the region the flow curves into
-        side = _resolve_tangency(sys, x_ev)
-        if side == 0:
-            traj.append(t_ev, x_ev, "sliding", None)
-            return stepper.t, x_ev, 0
-        traj.append(t_ev, x_ev, "crossing", None)
+            side = -region
+        elif sm is SurfaceMode.TANGENCY:
+            side = _resolve_tangency(sys, x_ev)
+        else:  # attracting or repelling sliding
+            side = 0
+            traj.non_unique |= sm is SurfaceMode.REPELLING_SLIDING
+        traj.append(t_ev, x_ev, "crossing" if side else "sliding", None)
         return stepper.t, x_ev, side
     rec.emit_through(t_end, stepper.interpolant, mode)
     traj.append(t_end, stepper.x, mode, None)

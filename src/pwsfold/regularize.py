@@ -35,9 +35,11 @@ class Sigmoid:
     """A monotone transition profile phi with |phi| -> 1 as |u| grows.
 
     value/derivative/second_derivative are functions of the fast variable u;
-    inverse maps lambda in (-1, 1) back to u. exactly_saturates marks
-    profiles that reach +-1 at finite |u| (piecewise polynomial class);
-    the asymptotic profiles approach +-1 only in the limit.
+    inverse maps lambda in (-1, 1) back to u. The cubic profile reaches +-1
+    at |u| = 1; tanh and algebraic approach +-1 only in the limit. inline
+    states value again as source on purpose: regularized_field, the
+    reference that tests compare compile_regularized_field against, then
+    shares no formula for phi with it.
     """
 
     name: str
@@ -45,7 +47,6 @@ class Sigmoid:
     derivative: Callable[[float], float]
     second_derivative: Callable[[float], float]
     inverse: Callable[[float], float]
-    exactly_saturates: bool
     inline: str  # python source template with {u} placeholder; may call _tanh, _sqrt
 
 
@@ -87,7 +88,6 @@ _TANH = Sigmoid(
     derivative=lambda u: 1.0 - math.tanh(u) ** 2,
     second_derivative=lambda u: -2.0 * math.tanh(u) * (1.0 - math.tanh(u) ** 2),
     inverse=math.atanh,
-    exactly_saturates=False,
     inline="_tanh({u})",
 )
 
@@ -97,7 +97,6 @@ _ALGEBRAIC = Sigmoid(
     derivative=lambda u: (1.0 + u * u) ** -1.5,
     second_derivative=lambda u: -3.0 * u * (1.0 + u * u) ** -2.5,
     inverse=_algebraic_inverse,
-    exactly_saturates=False,
     inline="(({u}) / _sqrt(1.0 + ({u}) * ({u})))",
 )
 
@@ -107,7 +106,6 @@ _CUBIC = Sigmoid(
     derivative=_cubic_derivative,
     second_derivative=_cubic_second,
     inverse=_cubic_inverse,
-    exactly_saturates=True,
     inline="(-1.0 if ({u}) <= -1.0 else (1.0 if ({u}) >= 1.0 else "
            "0.5 * (3.0 * ({u}) - ({u}) ** 3)))",
 )
