@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from . import sim
 from .exceptions import IntegrationError, PwsfoldError, ValidationError
+from .expr import to_text
 from .pws import PiecewiseSystem, Trajectory, integrate_pws
 from .regularize import (Sigmoid, builtin_sigmoid, critical_manifold,
                          critical_manifold_csv, nonhyperbolic_curve,
@@ -191,7 +192,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_show(args) -> int:
-    from .expr import to_text
     sf = load_system_file(args.file)
     lines = []
     if sf.normal_form is not None:
@@ -212,9 +212,11 @@ def cmd_manifold(args) -> int:
     x2_grid = _parse_grid(args.x2, "--x2")
     x3_grid = _parse_grid(args.x3, "--x3")
     points = critical_manifold(sf.system, x2_grid, x3_grid)
+    # the curve before any write, so a bad --lcurve-samples leaves no file
+    nf = sf.normal_form
+    samples = None if nf is None else nonhyperbolic_curve(nf, args.lcurve_samples)
     _write_text(args.out, critical_manifold_csv(points))
-    if sf.normal_form is not None:
-        samples = nonhyperbolic_curve(sf.normal_form, args.lcurve_samples)
+    if samples is not None:
         if args.lcurve_out is not None:
             _write_text(args.lcurve_out, nonhyperbolic_curve_csv(samples))
         elif args.out is not None and args.out != "-":

@@ -161,6 +161,14 @@ class TestManifold:
         assert "--x2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_lcurve_samples_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert run(["manifold", bundled("invisible_db.json"), "--x2=-1:1:3",
+                    "--x3=-1:1:3", "--out", str(out), "--lcurve-samples", "1"]) == 2
+        assert "need at least 2 samples" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "m.csv.lcurve.csv").exists()
+
     def test_manifold_csv_content(self, tmp_path):
         out = tmp_path / "m.csv"
         assert run(["manifold", bundled("invisible_db.json"),
