@@ -144,6 +144,17 @@ class TestSlidingLambdas:
         for r in roots:
             assert abs(sys.combined(0.0, 1.0, 1.0, r)[0]) < 1e-12
 
+    @pytest.mark.parametrize("fplus, expected", [
+        (("1", "0", "0"), [0.0]),  # f1 = lambda (1.1 - 0.1 lambda^2)
+        (("0", "0", "0"), [1.0]),  # f1 = (1 - lambda)(0.1 lambda (1 + lambda) - 0.5)
+    ])
+    def test_scan_root_on_a_node(self, fplus, expected):
+        # the cubic hidden term forces the scan; its nodes include 0 and 1
+        sys = pf.PiecewiseSystem.from_strings(
+            fplus, ("-1", "0", "0"), ("0.1*lambda", "0", "0"))
+        assert sys.lambda_degree == 3
+        assert pf.sliding_lambdas(sys, 0.3, -0.2) == expected
+
     def test_attracting_root_exists_where_attracting(self):
         rng = random.Random(5)
         for _ in range(200):

@@ -122,3 +122,18 @@ class TestStepper:
             integrate_pws(example_system("i"), x0, 1.0, opts)
         with pytest.raises(StepUnderflowError):
             run_example("i", 1e-3, 1.0, x0=x0, opts=opts)
+
+    def test_non_finite_stage_shrinks_the_step_until_it_underflows(self):
+        # an attempt whose stages reach x1 >= 0.5 is never accepted: one
+        # with a non-finite end state is retried at a quarter of the step,
+        # one with a finite end state has an infinite error estimate
+        def field(t, x):
+            return (1.0 if x[0] < 0.5 else math.inf, 0.0, 0.0)
+
+        stepper = Dopri3(field, 0.0, (0.0, 0.0, 0.0))
+        with pytest.raises(StepUnderflowError):
+            stepper.advance_to(1.0)
+        assert stepper.t == pytest.approx(0.5, abs=1e-12)
+        assert stepper.t < 0.5
+        assert all(math.isfinite(v) for v in stepper.x + stepper.f)
+        assert stepper.x[0] == pytest.approx(stepper.t, abs=1e-12)
