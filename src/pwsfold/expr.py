@@ -482,7 +482,8 @@ def _shared_source(exprs) -> list[str]:
     return [emit(e) for e in exprs]
 
 
-_PRELUDE = ", ".join(f"_{name}=_{name}" for name in _FUNCS)
+_BINDINGS = {f"_{name}": impl for name, (impl, _) in _FUNCS.items()}
+_PRELUDE = ", ".join(f"{local}={local}" for local in _BINDINGS)
 
 
 def _generate(exprs, layer: tuple[str, str] | None = None) -> Callable:
@@ -510,7 +511,7 @@ def _generate(exprs, layer: tuple[str, str] | None = None) -> Callable:
         result = "(" + ", ".join(sources) + ")"
     else:
         result = sources[0]
-    ns = {f"_{name}": impl for name, (impl, _) in _FUNCS.items()}
+    ns = dict(_BINDINGS)
     exec(f"{head}    return {result}\n", ns)
     return ns["_f"]
 
