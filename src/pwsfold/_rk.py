@@ -5,8 +5,9 @@ event-driven integrator reuses it for sliding flow with the state
 (lambda, x2, x3) on the surface x1 = 0. FSAL: the last stage of an accepted
 step seeds the next. The stepper keeps the start of its last accepted step
 (t_prev, x_prev, f_prev); event location rewinds to it and re-advances.
-Step sizes are bounded by the error control, the target time and the layer
-cap only.
+Step sizes are bounded by the error control and the target time only. In
+the stiff layer of a regularized system the error control alone holds the
+step near the explicit pair's stability boundary.
 """
 
 from __future__ import annotations
@@ -65,15 +66,11 @@ def hermite(t0, x0, f0, t1, x1, f1):
 class Dopri3:
     """One 3-component Dormand-Prince integrator.
 
-    field(t, x) must return a tuple of 3 floats. layer_eps, when given, caps
-    a step that starts in the layer |x1| < 10 layer_eps at layer_eps / |f|,
-    f being the field at the step's start: the bound that keeps the fast
-    layer contraction inside the explicit method's stability region.
+    field(t, x) must return a tuple of 3 floats.
     """
 
     def __init__(self, field, t0: float, x0, *, rtol: float = 1e-8,
-                 atol: float = 1e-10, max_steps: int = 50_000_000,
-                 layer_eps: float | None = None):
+                 atol: float = 1e-10, max_steps: int = 50_000_000):
         self.field = field
         self.t = float(t0)
         self.x = (float(x0[0]), float(x0[1]), float(x0[2]))
@@ -81,7 +78,6 @@ class Dopri3:
         self.rtol = rtol
         self.atol = atol
         self.max_steps = max_steps
-        self.layer_eps = layer_eps
         self.nsteps = 0
         self.h = self._initial_step()
         # previous accepted endpoint, for interpolation and event rewind
@@ -121,11 +117,6 @@ class Dopri3:
         h = min(self.h, t_bound - t)
         y1, y2, y3 = self.x
         k11, k12, k13 = self.f
-        eps = self.layer_eps
-        if eps is not None and abs(y1) < 10.0 * eps:
-            fn = math.sqrt(k11 * k11 + k12 * k12 + k13 * k13)
-            if fn > 0 and eps / fn < h:
-                h = eps / fn
         f = self.field
         rtol, atol = self.rtol, self.atol
         ay1, ay2, ay3 = abs(y1), abs(y2), abs(y3)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import sim
 from .exceptions import IntegrationError, PwsfoldError, ValidationError
 from .expr import to_text
-from .pws import PiecewiseSystem, Trajectory, integrate_pws
+from .pws import MAX_SAMPLES, PiecewiseSystem, Trajectory, integrate_pws
 from .regularize import (Sigmoid, builtin_sigmoid, critical_manifold,
                          critical_manifold_csv, nonhyperbolic_curve,
                          nonhyperbolic_curve_csv, SIGMOID_NAMES)
@@ -224,13 +224,10 @@ def cmd_manifold(args) -> int:
     return 0
 
 
-def _simulate_one(system: PiecewiseSystem, args, x0) -> Trajectory:
-    opts = sim.IntegratorOptions(dense_output_stride=args.stride)
+def _simulate_one(system: PiecewiseSystem, args, x0, opts) -> Trajectory:
     if args.mode == "regularized":
         if args.eps is None:
             raise ValidationError("--eps: required in regularized mode")
-        if not 0.0 < args.eps < math.inf:
-            raise ValidationError("--eps: must be positive and finite")
         return sim.regularized_trajectory(system, builtin_sigmoid(args.sigmoid),
                                           args.eps, x0, args.t_end, opts)
     return integrate_pws(system, x0, args.t_end, opts)
@@ -241,12 +238,17 @@ def _simulate(system: PiecewiseSystem, args, default_x0) -> int:
     to --t-end, trajectory CSV to --out, a summary line per run."""
     if not 0.0 < args.t_end < math.inf:
         raise ValidationError("--t-end: must be positive and finite")
+    if args.eps is not None and not 0.0 < args.eps < math.inf:
+        raise ValidationError("--eps: must be positive and finite")
+    opts = sim.IntegratorOptions(dense_output_stride=args.stride)
+    if args.t_end > MAX_SAMPLES * args.stride:
+        raise ValidationError(f"--stride: --t-end / --stride must not exceed {MAX_SAMPLES}")
     x0s = [_parse_x0(s) for s in args.x0] or [default_x0]
     if len(x0s) > 1 and (args.out is None or args.out == "-"):
         raise ValidationError("--out: required when several --x0 are given")
 
     # all runs before any write, so a failed start leaves no output file
-    trajs = [_simulate_one(system, args, x0) for x0 in x0s]
+    trajs = [_simulate_one(system, args, x0, opts) for x0 in x0s]
     for i, traj in enumerate(trajs):
         if len(trajs) == 1:
             out = args.out

@@ -33,6 +33,7 @@ __all__ = [
 
 SURFACE_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
+MAX_SAMPLES = 10**7  # bound on t_end / dense_output_stride, the dense samples of a run
 _N_SCAN = 64  # sliding-root scan subintervals for f1 beyond quadratic in lambda
 
 _LAM = ex.Var("lambda")
@@ -331,9 +332,10 @@ class IntegratorOptions:
     """Tolerances, budgets and dense output for both integrators.
 
     dense_output_stride (the spacing of dense samples) must be positive
-    and finite, and so must layer_eps when set. layer_eps enables the smooth
-    integrator's step cap near the layer; max_events acts in event-driven
-    runs only. max_steps bounds the Runge-Kutta attempts of a smooth run,
+    and finite, and a run makes at most MAX_SAMPLES of them. layer_eps, when
+    set, must be positive and finite too; it has no effect and stays only
+    for callers that still pass it. max_events acts in event-driven runs
+    only. max_steps bounds the Runge-Kutta attempts of a smooth run,
     or of one leg of an event-driven run with its event-location
     re-advances. The event-driven integrator's surface and residual
     tolerances are the module constants SURFACE_TOL and RESIDUAL_TOL.
@@ -403,10 +405,13 @@ class _Recorder:
         self.k = k
 
 
-def _check_start(x0, t_end: float) -> None:
-    """Reject a non-finite start or a t_end that is not positive and finite."""
+def _check_start(x0, t_end: float, stride: float) -> None:
+    """Reject a non-finite start, a t_end that is not positive and finite,
+    or more than MAX_SAMPLES dense samples."""
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
+    if t_end > MAX_SAMPLES * stride:
+        raise ValueError(f"t_end / dense_output_stride must not exceed {MAX_SAMPLES}")
     if not all(math.isfinite(v) for v in x0):
         raise ValueError(f"x0 must be finite, got {tuple(x0)!r}")
 
@@ -436,10 +441,11 @@ def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
     df1/dlambda changes sign (a fold of the manifold, or a folded
     singularity), leaving to the side the layer flow departs to. Repelling
     sliding continues but sets the trajectory's non_unique flag. x0 must be
-    finite and t_end positive and finite (ValueError otherwise).
+    finite, t_end positive and finite, and t_end / dense_output_stride at
+    most MAX_SAMPLES (ValueError otherwise).
     """
-    _check_start(x0, t_end)
     opts = opts or IntegratorOptions()
+    _check_start(x0, t_end, opts.dense_output_stride)
     traj = Trajectory()
     rec = _Recorder(traj, opts.dense_output_stride)
 

@@ -1,11 +1,11 @@
-"""Stiff-capable smooth integration, bundled demo systems, and comparisons.
+"""Smooth integration, bundled demo systems, and comparisons.
 
-The integrator is an explicit adaptive Runge-Kutta pair; stiffness from the
-regularization layer is handled by capping the step near |x1| < 10 eps at
-eps / |f| (Dopri3's layer_eps), which keeps the layer contraction inside
-the stability region without an implicit method. Both integrators take
-IntegratorOptions (pws.PwsOptions is the same class). The bundled systems
-are read from the package's systems/*.json, the files the CLI loads.
+The integrator is an explicit adaptive Runge-Kutta pair. In the stiff layer
+of a regularized system its error control keeps the step near the pair's
+stability boundary, so the step count grows as 1/eps there. Both
+integrators take IntegratorOptions (pws.PwsOptions is the same class). The
+bundled systems are read from the package's systems/*.json, the files the
+CLI loads.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import replace
 from typing import Callable, Iterable
 
 from ._rk import Dopri3
@@ -32,17 +31,16 @@ __all__ = [
 def integrate_smooth(field: Callable, x0, t_end: float,
                      opts: IntegratorOptions | None = None) -> Trajectory:
     """Integrate dx/dt = field(t, x) from a finite x0 to a finite t_end > 0
-    with dense output (ValueError otherwise).
+    with at most pws.MAX_SAMPLES dense samples (ValueError otherwise).
 
-    Sample modes are 'free+'/'free-' by the sign of x1. opts.layer_eps, when
-    set, is the stepper's layer_eps: steps that start at |x1| < 10 layer_eps
-    are capped at layer_eps / |f|. Use regularized_trajectory to also record
-    the layer value of lambda.
+    Sample modes are 'free+'/'free-' by the sign of x1. The error control
+    and t_end alone size the steps. Use regularized_trajectory to also
+    record the layer value of lambda.
     """
-    _check_start(x0, t_end)
     opts = opts or IntegratorOptions()
+    _check_start(x0, t_end, opts.dense_output_stride)
     stepper = Dopri3(field, 0.0, x0, rtol=opts.rel_tol, atol=opts.abs_tol,
-                     max_steps=opts.max_steps, layer_eps=opts.layer_eps)
+                     max_steps=opts.max_steps)
     traj = Trajectory()
     traj.append(0.0, stepper.x, _free_mode(stepper.x[0]), None)
     emit = _Recorder(traj, opts.dense_output_stride).emit_through
@@ -63,9 +61,6 @@ def regularized_trajectory(sys: PiecewiseSystem, s: Sigmoid, eps: float,
     (compile_regularized_field raises ValueError otherwise).
     """
     field = compile_regularized_field(sys, s, eps)
-    opts = opts or IntegratorOptions()
-    if opts.layer_eps is None:
-        opts = replace(opts, layer_eps=eps)
     traj = integrate_smooth(field, x0, t_end, opts)
     # fill the lambda column where the sample sits in the layer
     for i, state in enumerate(traj.states):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -277,6 +279,31 @@ class TestSimulate:
         assert run(["examples", "ii", "--mode", "pws", "--t-end", "1",
                     "--stride", stride, "--out", str(out)]) == 2
         assert "dense_output_stride" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_many_samples_exit_2(self, tmp_path):
+        # 0.1 / 1e-300 samples: the recorder allocated until memory ran out.
+        # A child with 1 GiB of address space fails fast if that comes back.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "from pwsfold import cli; sys.exit(cli.main(sys.argv[1:]))")
+        out = tmp_path / "s.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "examples", "ii", "--eps", "1e-3",
+             "--t-end", "0.1", "--stride", "1e-300", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "--stride" in proc.stderr
+        assert not out.exists()
+
+    def test_eps_checked_in_pws_mode(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        assert run(["simulate", bundled("example_ii.json"), "--mode", "pws",
+                    "--eps", "-1", "--t-end", "1", "--out", str(out)]) == 2
+        assert "--eps" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--eps", "nan"], ["--eps", "inf"],

@@ -3,6 +3,7 @@ import math
 import pytest
 
 import pwsfold as pf
+from pwsfold import pws, sim
 from pwsfold.regularize import compile_regularized_field
 from pwsfold.sim import (IntegratorOptions, compare_trajectories,
                          example_system, integrate_smooth,
@@ -50,9 +51,22 @@ class TestIntegrateSmooth:
         with pytest.raises(ValueError, match="dense_output_stride"):
             IntegratorOptions(dense_output_stride=stride)
 
+    def test_rejects_more_than_max_samples(self, monkeypatch):
+        # the README's t-end 1000 run at the default stride stays allowed
+        assert 1000.0 <= pws.MAX_SAMPLES * 0.01
+        # a tiny stride once made the recorder allocate until memory ran out;
+        # a bound of 10 keeps a regression here down to 20 samples
+        monkeypatch.setattr(pws, "MAX_SAMPLES", 10)
+        opts = IntegratorOptions(dense_output_stride=0.01)
+        with pytest.raises(ValueError, match="dense_output_stride"):
+            integrate_smooth(decay_field, (1.0, 1.0, 1.0), 0.2, opts)
+        with pytest.raises(ValueError, match="dense_output_stride"):
+            pf.integrate_pws(section6_system(False), (0.5, 0.0, 0.0), 0.2, opts)
+        assert len(integrate_smooth(decay_field, (1.0, 1.0, 1.0), 0.1, opts).times) == 11
+
     @pytest.mark.parametrize("layer_eps", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_layer_eps(self, layer_eps):
-        # such a value once ran the layer uncapped without a word
+        # layer_eps has no effect on a run, but a caller's bad value still fails
         with pytest.raises(ValueError, match="layer_eps"):
             IntegratorOptions(layer_eps=layer_eps)
 
@@ -185,6 +199,36 @@ class TestRunExample:
         traj = run_example("ii", 1e-5, 1.0, "tanh")
         assert traj.times[-1] == pytest.approx(1.0)
         assert traj.sup_norm() < 5.0
+
+    def test_error_control_alone_sizes_layer_steps(self, monkeypatch):
+        # a step cap of eps/|f| in the layer made 52,057 field calls here
+        calls = [0]
+        compile_field = sim.compile_regularized_field
+
+        def counting_compile(*args):
+            field = compile_field(*args)
+
+            def counted(t, x):
+                calls[0] += 1
+                return field(t, x)
+
+            return counted
+
+        monkeypatch.setattr(sim, "compile_regularized_field", counting_compile)
+        traj = regularized_trajectory(pf.example_system("ii"), pf.builtin_sigmoid("tanh"),
+                                      1e-5, (0.1, 0.1, 0.1), 10.0)
+        assert traj.times[-1] == 10.0
+        assert 0 < calls[0] < 12_000
+
+    # the small-eps regularized cases of tools/output_digest.py
+    @pytest.mark.parametrize("which,eps,t_end,sigmoid", [
+        ("ii", 1e-5, 10.0, "tanh"), ("ii", 1e-5, 10.0, "cubic"), ("iii", 1e-4, 16.0, "tanh")])
+    def test_small_eps_run_is_close_to_a_tight_run(self, which, eps, t_end, sigmoid):
+        traj = run_example(which, eps, t_end, sigmoid)
+        ref = run_example(which, eps, t_end, sigmoid,
+                          opts=IntegratorOptions(rel_tol=1e-12, abs_tol=1e-14))
+        grid = [k * 0.01 for k in range(round(t_end / 0.01) + 1)]
+        assert compare_trajectories(traj, ref, grid) <= 1e-5
 
 
 class TestCompareTrajectories:

@@ -9,17 +9,16 @@ slide into its folded node, and on three starts that reach the tangency and
 no-sliding-root policies (a grazing arrival that slides, one that crosses,
 and a start on the surface where f1 has no root); regularized runs of
 examples i-iii at eps 1e-3 with each built-in sigmoid, and at eps 1e-4 and
-1e-5, where the layer step cap binds on most steps; a manifold CSV; the CSV
-of a regularized `examples` run; and the JSON that the CLI's classify, fit
-and folded commands write for the bundled normal forms; the exit code,
-standard output and standard error of failing CLI calls, one per error path
-(temporary paths replaced by a fixed token). Then the critical-manifold
-quantities, as float.hex text: surface_curvature of every bundled system on
-both sides of a grid of surface points, and slow_u_dot, degeneracy_probe and
-folded_conditions_residuals of the bundled normal forms with each built-in
-sigmoid. An empty `diff` of the printouts of two checkouts shows that these
-outputs are byte-identical. Stdlib only; takes about 2 s on one core of a
-2-core x86 host (Python 3.11).
+1e-5; a manifold CSV; the CSV of a regularized `examples` run; and the JSON
+that the CLI's classify, fit and folded commands write for the bundled
+normal forms; the exit code, standard output and standard error of failing
+CLI calls, one per error path (temporary paths replaced by a fixed token).
+Then the critical-manifold quantities, as float.hex text: surface_curvature
+of every bundled system on both sides of a grid of surface points, and
+slow_u_dot, degeneracy_probe and folded_conditions_residuals of the bundled
+normal forms with each built-in sigmoid. An empty `diff` of the printouts of
+two checkouts shows that these outputs are byte-identical. Stdlib only;
+takes about 2 s on one core of a 2-core x86 host (Python 3.11).
 """
 
 from __future__ import annotations
@@ -135,6 +134,10 @@ def _error_cases(tmp: str):
     yield "no_normal_form", ["classify", singular]
     yield "unknown_example", ["examples", "iv", "--eps", "1e-3", "--t-end", "1"]
     yield "eps_zero", ["examples", "i", "--eps", "0", "--t-end", "1"] + out
+    yield "eps_negative_pws", ["simulate", _system_path("example_ii"), "--mode", "pws",
+                               "--eps", "-1", "--t-end", "1"] + out
+    yield "stride_too_small", ["examples", "ii", "--eps", "1e-3", "--t-end", "0.1",
+                               "--stride", "1e-300"] + out
     yield "zero_division", ["simulate", zero_div, "--mode", "pws", "--t-end", "1",
                             "--x0", "1,0,0"] + out
     yield "integration_error", ["simulate", singular, "--mode", "pws", "--t-end", "2",
