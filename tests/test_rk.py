@@ -72,17 +72,20 @@ def counted(field):
     return wrapped, calls
 
 
-def layer_stepper():
-    # example iii at eps 1e-3 reaches the layer by t = 20
+def layer_stepper(rtol=None):
+    # example iii at eps 1e-3 reaches the layer by t = 20; rtol None keeps
+    # the stepper's default
     field = compile_regularized_field(example_system("iii"),
                                       builtin_sigmoid("tanh"), 1e-3)
     wrapped, calls = counted(field)
-    return Dopri3(wrapped, 0.0, (0.1, 0.1, 0.1)), calls
+    tol = {} if rtol is None else {"rtol": rtol}
+    return Dopri3(wrapped, 0.0, (0.1, 0.1, 0.1), **tol), calls
 
 
 class TestStepper:
-    def test_field_calls_are_one_plus_six_per_attempt(self):
-        stepper, calls = layer_stepper()
+    @pytest.mark.parametrize("rtol", [None, 1e-3])
+    def test_field_calls_are_one_plus_six_per_attempt(self, rtol):
+        stepper, calls = layer_stepper(rtol)
         accepted = 0
         while stepper.t < 20.0:
             stepper.step_to(20.0)
