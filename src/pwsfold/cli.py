@@ -9,6 +9,7 @@ reports are JSON on stdout, bulk numeric output is CSV. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -96,7 +97,8 @@ def load_system_file(path: str) -> SystemFile:
     return SystemFile(system, None)
 
 
-def _parse_grid(spec: str, flag: str) -> list[float]:
+def _parse_grid(spec: str, flag: str) -> tuple[float, float, int]:
+    """(LO, HI, COUNT) of a LO:HI:COUNT flag value."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValidationError(f"{flag}: expected LO:HI:COUNT, got {spec!r}")
@@ -108,6 +110,11 @@ def _parse_grid(spec: str, flag: str) -> list[float]:
         raise ValidationError(f"{flag}: LO and HI must be finite, got {spec!r}")
     if n < 1:
         raise ValidationError(f"{flag}: COUNT must be at least 1")
+    return lo, hi, n
+
+
+def _grid(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced values from lo to hi (lo alone when n is 1)."""
     if n == 1:
         return [lo]
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
@@ -209,9 +216,14 @@ def cmd_show(args) -> int:
 
 def cmd_manifold(args) -> int:
     sf = load_system_file(args.file)
-    x2_grid = _parse_grid(args.x2, "--x2")
-    x3_grid = _parse_grid(args.x3, "--x3")
-    points = critical_manifold(sf.system, x2_grid, x3_grid)
+    x2_spec = _parse_grid(args.x2, "--x2")
+    x3_spec = _parse_grid(args.x3, "--x3")
+    # bounds on the parsed counts, before any list is built
+    if x2_spec[2] * x3_spec[2] > MAX_SAMPLES:
+        raise ValidationError(f"--x2, --x3: COUNT x COUNT must not exceed {MAX_SAMPLES}")
+    if args.lcurve_samples > MAX_SAMPLES:
+        raise ValidationError(f"--lcurve-samples: must not exceed {MAX_SAMPLES}")
+    points = critical_manifold(sf.system, _grid(*x2_spec), _grid(*x3_spec))
     # the curve before any write, so a bad --lcurve-samples leaves no file
     nf = sf.normal_form
     samples = None if nf is None else nonhyperbolic_curve(nf, args.lcurve_samples)
@@ -276,7 +288,11 @@ def cmd_examples(args) -> int:
 # --- entry point ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The pwsfold argument parser, built on the first call and shared by
+    every later one: main() parses each argv with it. Parsing leaves the
+    parser as it was; the --x0 list default is copied, not appended to."""
     ap = argparse.ArgumentParser(
         prog="pwsfold",
         description="Two-fold singularities of piecewise-smooth systems: "

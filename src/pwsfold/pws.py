@@ -205,32 +205,26 @@ def classify_surface_point(sys: PiecewiseSystem, x) -> SurfaceMode:
     return SurfaceMode.CROSSING
 
 
-def _lambda_poly_coeffs(sys: PiecewiseSystem, x2: float, x3: float):
-    """Quadratic-in-lambda coefficients of f1 at (0, x2, x3), if applicable."""
-    f1 = sys.f1
-    v0 = f1(0.0, x2, x3, 0.0)
-    vp = f1(0.0, x2, x3, 1.0)
-    vm = f1(0.0, x2, x3, -1.0)
-    a = 0.5 * (vp + vm) - v0
-    b = 0.5 * (vp - vm)
-    return a, b, v0
-
-
 def sliding_lambdas(sys: PiecewiseSystem, x2: float, x3: float) -> list[float]:
     """All roots lambda in [-1, 1] of f1(0, x2, x3; lambda) = 0, ascending.
 
     When f1 is (at most) quadratic in lambda the roots come from the closed
-    form; otherwise from a sign-change scan over 64 subintervals followed
-    by a secant/bisection polish to residual 1e-12.
+    form, with the coefficients a = (f1(1) + f1(-1))/2 - f1(0),
+    b = (f1(1) - f1(-1))/2 and c = f1(0) formed from three evaluations of
+    f1; otherwise from a sign-change scan over 64 subintervals followed by a
+    secant/bisection polish to residual 1e-12. critical_manifold and the
+    sliding legs find their roots here.
     """
+    f1 = sys.f1
     deg = sys.lambda_degree
     if deg is not None and deg <= 2:
+        v0 = f1(0.0, x2, x3, 0.0)
+        vp = f1(0.0, x2, x3, 1.0)
+        vm = f1(0.0, x2, x3, -1.0)
         # ascending roots stay ascending under the clamp
         return [min(1.0, max(-1.0, r))
-                for r in real_quadratic_roots(*_lambda_poly_coeffs(sys, x2, x3))
+                for r in real_quadratic_roots(0.5 * (vp + vm) - v0, 0.5 * (vp - vm), v0)
                 if -1.0 - 1e-12 <= r <= 1.0 + 1e-12]
-
-    f1 = sys.f1
 
     def g(lam: float) -> float:
         return f1(0.0, x2, x3, lam)

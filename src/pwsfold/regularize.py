@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from . import expr as ex
 from .exceptions import NonHyperbolicPointError
@@ -177,8 +177,7 @@ class Stability(enum.Enum):
     NON_HYPERBOLIC = "non_hyperbolic"
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     """A layer equilibrium (lambda, x2, x3) with its normal stability."""
 
     lam: float
@@ -190,21 +189,26 @@ class CriticalPoint:
 _HYPERBOLICITY_TOL = 1e-9
 
 
-def _stability(sys: PiecewiseSystem, lam: float, x2: float, x3: float) -> Stability:
-    slope = sys.f1_dlambda(0.0, x2, x3, lam)
-    if abs(slope) < _HYPERBOLICITY_TOL:
-        return Stability.NON_HYPERBOLIC
-    return Stability.ATTRACTING if slope < 0.0 else Stability.REPELLING
-
-
 def critical_manifold(sys: PiecewiseSystem, x2_values: Sequence[float],
                       x3_values: Sequence[float]) -> list[CriticalPoint]:
-    """Sample the sliding manifold over a rectangular (x2, x3) grid."""
+    """Sample the sliding manifold over a rectangular (x2, x3) grid.
+
+    x2 runs in the outer loop and x3 in the inner one; at each grid point
+    the roots of sliding_lambdas follow in ascending order. A root is
+    non-hyperbolic where |df1/dlambda| < 1e-9, else attracting where
+    df1/dlambda < 0 and repelling where it is positive (or NaN).
+    """
+    solve, slope = sliding_lambdas, sys.f1_dlambda
+    attracting, repelling = Stability.ATTRACTING, Stability.REPELLING
+    non_hyperbolic = Stability.NON_HYPERBOLIC
     points = []
     for x2 in x2_values:
         for x3 in x3_values:
-            for lam in sliding_lambdas(sys, x2, x3):
-                points.append(CriticalPoint(lam, x2, x3, _stability(sys, lam, x2, x3)))
+            for lam in solve(sys, x2, x3):
+                d = slope(0.0, x2, x3, lam)
+                points.append(CriticalPoint(
+                    lam, x2, x3, non_hyperbolic if abs(d) < _HYPERBOLICITY_TOL
+                    else attracting if d < 0.0 else repelling))
     return points
 
 
@@ -292,15 +296,29 @@ def degeneracy_probe(params: "TwoFoldParams", s: Sigmoid,
 # --- CSV emission -------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    """The CSV number format: enough digits to read the float back exactly."""
-    return f"{v:.17g}"
+# the CSV number format: enough digits to read the float back exactly
+_NUM = ".17g"
+_LABELS = {s: s.value for s in Stability}
 
 
 def critical_manifold_csv(points: Iterable[CriticalPoint]) -> str:
+    """CSV rows lambda,x2,x3,stability under that header, each number in
+    the .17g format.
+
+    Grid coordinates repeat on every row and column, so each distinct x2
+    and x3 is formatted once per call. A zero is formatted on every row:
+    0.0 and -0.0 are one dict key, but print as 0 and -0.
+    """
+    text: dict[float, str] = {}
     lines = ["lambda,x2,x3,stability"]
-    for p in points:
-        lines.append(f"{_fmt(p.lam)},{_fmt(p.x2)},{_fmt(p.x3)},{p.stability.value}")
+    for lam, x2, x3, stability in points:
+        s2 = text.get(x2)
+        if s2 is None or not x2:
+            s2 = text[x2] = f"{x2:{_NUM}}"
+        s3 = text.get(x3)
+        if s3 is None or not x3:
+            s3 = text[x3] = f"{x3:{_NUM}}"
+        lines.append(f"{lam:{_NUM}},{s2},{s3},{_LABELS[stability]}")
     return "\n".join(lines) + "\n"
 
 

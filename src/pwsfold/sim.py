@@ -19,7 +19,7 @@ from ._rk import Dopri3
 from .exceptions import ValidationError
 from .pws import (IntegratorOptions, PiecewiseSystem, Trajectory, _check_start,
                   _free_mode, _Recorder)
-from .regularize import Sigmoid, _fmt, builtin_sigmoid, compile_regularized_field
+from .regularize import _NUM, Sigmoid, builtin_sigmoid, compile_regularized_field
 
 __all__ = [
     "IntegratorOptions", "integrate_smooth", "regularized_trajectory",
@@ -143,6 +143,6 @@ def compare_trajectories(a: Trajectory, b: Trajectory,
 def trajectory_csv(traj: Trajectory) -> str:
     lines = ["t,x1,x2,x3,lambda,mode"]
     for t, x, mode, lam in zip(traj.times, traj.states, traj.modes, traj.lambdas):
-        lam_s = "" if lam is None else _fmt(lam)
-        lines.append(f"{_fmt(t)},{_fmt(x[0])},{_fmt(x[1])},{_fmt(x[2])},{lam_s},{mode}")
+        lam_s = "" if lam is None else f"{lam:{_NUM}}"
+        lines.append(f"{t:{_NUM}},{x[0]:{_NUM}},{x[1]:{_NUM}},{x[2]:{_NUM}},{lam_s},{mode}")
     return "\n".join(lines) + "\n"

@@ -27,6 +27,17 @@ def run(argv):
     return cli.main(argv)
 
 
+def child_env():
+    """The environment of a child python that imports this pwsfold."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def sampling_forbidden(*args):
+    raise AssertionError("the manifold was sampled past the bound")
+
+
 class TestClassify:
     def test_invisible_db(self, tmp_path, capsys):
         assert run(["classify", bundled("invisible_db.json")]) == 0
@@ -171,6 +182,38 @@ class TestManifold:
         assert not out.exists()
         assert not (tmp_path / "m.csv.lcurve.csv").exists()
 
+    @pytest.mark.parametrize("flags, flag", [
+        (["--x2=-1:1:100000", "--x3=-1:1:100000"], "--x2, --x3"),
+        (["--x2=-1:1:10001", "--x3=-1:1:1000"], "--x2, --x3"),
+        (["--x2=-1:1:3", "--x3=-1:1:3", "--lcurve-samples", "10000001"],
+         "--lcurve-samples")])
+    def test_too_many_samples_exit_2(self, tmp_path, capsys, monkeypatch, flags, flag):
+        # 10^10 grid points ran until memory ran out; samplers that fail the
+        # test stand in, so a missing bound costs nothing to find
+        monkeypatch.setattr(cli, "critical_manifold", sampling_forbidden)
+        monkeypatch.setattr(cli, "nonhyperbolic_curve", sampling_forbidden)
+        out = tmp_path / "m.csv"
+        assert run(["manifold", bundled("invisible_db.json"), *flags,
+                    "--out", str(out)]) == 2
+        assert f"error: {flag}: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sample_bound_is_inclusive(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SAMPLES", 12)
+        path, out = bundled("invisible_db.json"), str(tmp_path / "m.csv")
+        assert run(["manifold", path, "--x2=-1:1:3", "--x3=-1:1:4",
+                    "--lcurve-samples", "12", "--out", out]) == 0
+        assert run(["manifold", path, "--x2=-1:1:13", "--x3=-1:1:1", "--out", out]) == 2
+        assert run(["manifold", path, "--x2=-1:1:3", "--x3=-1:1:4",
+                    "--lcurve-samples", "13", "--out", out]) == 2
+
+    def test_negative_zero_grid_prints_minus_zero(self, tmp_path):
+        out = tmp_path / "m.csv"
+        assert run(["manifold", bundled("invisible_db.json"), "--x2=-0:1:1",
+                    "--x3=0:1:1", "--out", str(out)]) == 0
+        assert out.read_text() == ("lambda,x2,x3,stability\n"
+                                   "-1,-0,0,repelling\n1,-0,0,attracting\n")
+
     def test_manifold_csv_content(self, tmp_path):
         out = tmp_path / "m.csv"
         assert run(["manifold", bundled("invisible_db.json"),
@@ -284,9 +327,6 @@ class TestSimulate:
     def test_too_many_samples_exit_2(self, tmp_path):
         # 0.1 / 1e-300 samples: the recorder allocated until memory ran out.
         # A child with 1 GiB of address space fails fast if that comes back.
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import resource, sys; "
                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
                 "from pwsfold import cli; sys.exit(cli.main(sys.argv[1:]))")
@@ -294,7 +334,7 @@ class TestSimulate:
         proc = subprocess.run(
             [sys.executable, "-c", code, "examples", "ii", "--eps", "1e-3",
              "--t-end", "0.1", "--stride", "1e-300", "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120)
+            capture_output=True, text=True, env=child_env(), timeout=120)
         assert proc.returncode == 2, proc.stderr
         assert "--stride" in proc.stderr
         assert not out.exists()
@@ -377,3 +417,51 @@ class TestExamples:
         assert run(["examples", "ii", "--t-end", "20", "--eps", "1e-3",
                     "--out", str(out)]) == 0
         assert "events=" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    # each call, in this order in one process, against the same call made
+    # first in a fresh process: argparse's shared --x0 default list must not
+    # carry the two starts of the first call into the second
+    CALLS = (
+        ["simulate", bundled("example_ii.json"), "--mode", "pws", "--t-end", "1",
+         "--x0=0.1,-0.5,0.5", "--x0=-0.5,0.5,0.5", "--out", "two.csv"],
+        ["simulate", bundled("example_ii.json"), "--mode", "pws", "--t-end", "1",
+         "--out", "default.csv"],
+        ["classify", bundled("invisible_db.json"), "--out", "classify.json"],
+        ["simulate", bundled("example_ii.json"), "--sigmoid", "logistic"],
+    )
+
+    @staticmethod
+    def files(folder):
+        return {e.name: e.read_bytes() for e in folder.iterdir()}
+
+    def test_calls_in_one_process_equal_fresh_processes(self, tmp_path, capsys,
+                                                        monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        here = tmp_path / "here"
+        here.mkdir()
+        monkeypatch.chdir(here)
+        code = "import sys; from pwsfold import cli; sys.exit(cli.main(sys.argv[1:]))"
+        for i, argv in enumerate(self.CALLS):
+            before = self.files(here)
+            try:
+                status = cli.main(argv)
+            except SystemExit as exc:
+                status = exc.code
+            captured = capsys.readouterr()
+            written = {k: v for k, v in self.files(here).items() if before.get(k) != v}
+            fresh = tmp_path / f"fresh{i}"
+            fresh.mkdir()
+            proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=fresh,
+                                  capture_output=True, text=True, env=child_env(),
+                                  timeout=120)
+            assert (status, captured.out, captured.err) == \
+                (proc.returncode, proc.stdout, proc.stderr), argv
+            assert written == self.files(fresh), argv
+        assert sorted(self.files(here)) == ["classify.json", "default.csv",
+                                            "two.0.csv", "two.1.csv"]
+        first = (here / "default.csv").read_text().split("\n")[1]
+        assert first.startswith("0,0.10000000000000001,0.10000000000000001,"
+                                "0.10000000000000001,")
+        assert status == 2 and "invalid choice: 'logistic'" in captured.err

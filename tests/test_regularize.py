@@ -165,6 +165,69 @@ class TestCriticalManifold:
         assert lines[1].endswith("attracting")
 
 
+# (system, x2 grid, x3 grid): closed-form roots with a fold-curve point
+# (0.2, -0.2) at alpha = 0.2, and a hidden term that makes f1 cubic in lambda
+# (the root scan); the grids hold -0.0 right before and right after 0.0.
+SWEEP_CASES = {
+    "normal_form": (normal_form(alpha=0.2), (-1.0, -0.0, 0.0, 0.2, 0.5),
+                    (-0.2, -0.0, 0.0, 1.0)),
+    "lambda_cubic": (pf.PiecewiseSystem.from_strings(
+        ("x2 - 1", "1", "0"), ("x3 + 1", "0", "1"), ("0.5*lambda*x2", "0", "0")),
+        (-2.0, -0.0, 0.0, 1.5), (-1.5, 0.0, -0.0, 2.0)),
+}
+
+
+def reference_manifold(sys, x2_values, x3_values):
+    """critical_manifold as a plain loop over sliding_lambdas and f1_dlambda."""
+    points = []
+    for x2 in x2_values:
+        for x3 in x3_values:
+            for lam in pf.sliding_lambdas(sys, x2, x3):
+                slope = sys.f1_dlambda(0.0, x2, x3, lam)
+                if abs(slope) < 1e-9:
+                    stability = Stability.NON_HYPERBOLIC
+                elif slope < 0.0:
+                    stability = Stability.ATTRACTING
+                else:
+                    stability = Stability.REPELLING
+                points.append((lam, x2, x3, stability))
+    return points
+
+
+class TestManifoldSweep:
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_points_equal_reference_loop(self, case):
+        sys, x2s, x3s = SWEEP_CASES[case]
+        got = critical_manifold(sys, x2s, x3s)
+        want = reference_manifold(sys, x2s, x3s)
+        assert all(type(p) is CriticalPoint for p in got)
+        # float.hex tells -0.0 from 0.0, which == does not
+        assert [(p.lam.hex(), p.x2.hex(), p.x3.hex(), p.stability) for p in got] \
+            == [(lam.hex(), x2.hex(), x3.hex(), st) for lam, x2, x3, st in want]
+        zeros = {math.copysign(1.0, p.x2) for p in got if p.x2 == 0.0}
+        assert zeros == {1.0, -1.0}
+        if case == "lambda_cubic":
+            assert sys.lambda_degree == 3
+        else:
+            assert Stability.NON_HYPERBOLIC in {p.stability for p in got}
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_csv_equals_row_by_row_format(self, case):
+        sys, x2s, x3s = SWEEP_CASES[case]
+        points = critical_manifold(sys, x2s, x3s)
+        want = "lambda,x2,x3,stability\n" + "".join(
+            f"{p.lam:.17g},{p.x2:.17g},{p.x3:.17g},{p.stability.value}\n" for p in points)
+        assert ",-0," in want and ",0," in want
+        assert critical_manifold_csv(points) == want
+
+    def test_critical_point_is_a_named_tuple(self):
+        point = CriticalPoint(0.5, 1.0, 2.0, Stability.REPELLING)
+        assert point._fields == ("lam", "x2", "x3", "stability")
+        assert tuple(point) == (0.5, 1.0, 2.0, Stability.REPELLING)
+        assert point == CriticalPoint(lam=0.5, x2=1.0, x3=2.0,
+                                      stability=Stability.REPELLING)
+
+
 class TestNonHyperbolicCurve:
     def test_degenerate_alpha_zero(self):
         for lam, x2, x3 in nonhyperbolic_curve(TwoFoldParams(1, 1, -2, -1, 0.0), 7):

@@ -138,6 +138,10 @@ def _error_cases(tmp: str):
                                "--eps", "-1", "--t-end", "1"] + out
     yield "stride_too_small", ["examples", "ii", "--eps", "1e-3", "--t-end", "0.1",
                                "--stride", "1e-300"] + out
+    manifold = ["manifold", _system_path("invisible_db")]
+    yield "grid_too_large", manifold + ["--x2=-1:1:100000", "--x3=-1:1:100000"] + out
+    yield "lcurve_too_large", manifold + ["--x2=-1:1:3", "--x3=-1:1:3",
+                                          "--lcurve-samples", "10000001"] + out
     yield "zero_division", ["simulate", zero_div, "--mode", "pws", "--t-end", "1",
                             "--x0", "1,0,0"] + out
     yield "integration_error", ["simulate", singular, "--mode", "pws", "--t-end", "2",
