@@ -88,8 +88,10 @@ class Dopri3:
     # -- utilities ----------------------------------------------------------
 
     def _initial_step(self) -> float:
-        fn = math.sqrt(sum(v * v for v in self.f))
-        xn = math.sqrt(sum(v * v for v in self.x))
+        (f1, f2, f3), (x1, x2, x3) = self.f, self.x
+        # left to right on every Python (sum() compensates since 3.12)
+        fn = math.sqrt(f1 * f1 + f2 * f2 + f3 * f3)
+        xn = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
         scale = self.atol + self.rtol * max(xn, 1.0)
         h = 0.01 * scale / fn if fn > 0 else 1e-6
         # never below the 16 ulp under which step_to raises StepUnderflowError

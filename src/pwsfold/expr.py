@@ -486,27 +486,26 @@ _BINDINGS = {f"_{name}": impl for name, (impl, _) in _FUNCS.items()}
 _PRELUDE = ", ".join(f"{local}={local}" for local in _BINDINGS)
 
 
-def _generate(exprs, layer: tuple[str, str] | None = None) -> Callable:
+def _generate(exprs, binds: tuple[tuple[str, str], ...] | None = None) -> Callable:
     """Compile one expression, or a tuple of them, into a Python function.
 
     A tuple compiles to a tuple-valued function. The arguments are
-    (x1, x2, x3, lam), or, given layer = (u_source, lam_source), (t, x) as
-    an integrator field: it unpacks x into x1, x2, x3, binds _u to u_source
-    and then lam to lam_source, and computes each repeated subexpression
-    once (_shared_source), as a field called 6 times per Runge-Kutta attempt
-    repays. The other functions are compiled often and called a few times
-    each, so they keep the plain printer.
+    (x1, x2, x3, lam), or, given binds, a tuple of (name, source) pairs,
+    (t, x) as an integrator field: it unpacks x into x1, x2, x3, then
+    assigns each name its source in order (lam among them), and computes
+    each repeated subexpression once (_shared_source), as a field called 6
+    times per Runge-Kutta attempt repays. The other functions are compiled
+    often and called a few times each, so they keep the plain printer.
     """
     items = exprs if isinstance(exprs, tuple) else (exprs,)
-    if layer is None:
+    if binds is None:
         sources = [_py_source(e) for e in items]
         head = f"def _f(x1, x2, x3, lam, {_PRELUDE}):\n"
     else:
         sources = _shared_source(items)
         head = (f"def _f(t, x, {_PRELUDE}):\n"
                 "    x1, x2, x3 = x\n"
-                f"    _u = {layer[0]}\n"
-                f"    lam = {layer[1]}\n")
+                + "".join(f"    {name} = {source}\n" for name, source in binds))
     if isinstance(exprs, tuple):
         result = "(" + ", ".join(sources) + ")"
     else:
@@ -525,6 +524,8 @@ def compile_expression(e: Expression):
     return _generate(e)
 
 
-def compile_field(components) -> Callable:
-    """Compile several expressions into one callable returning a tuple."""
-    return _generate(tuple(components))
+def compile_field(components, binds=None) -> Callable:
+    """Compile several expressions into one callable returning a tuple:
+    (x1, x2, x3, lam) -> (...), or given binds the (t, x) integrator field
+    of _generate."""
+    return _generate(tuple(components), binds)

@@ -9,6 +9,11 @@ parameter lambda ranges over [-1, 1] through the convex combination
 whose hidden term g vanishes at lambda = +-1 and therefore never acts away
 from the surface. Sliding motion pins x1 = 0 and follows (f2, f3) with
 lambda carried along the critical manifold f1(0, x2, x3; lambda) = 0.
+
+integrate_pws alternates free and sliding legs, which only integrate to
+their event or to t_end. What follows each surface event (a start on the
+surface, an arrival on it, a sliding exit) is decided in one function,
+_next_region, which also counts the event and appends its one record.
 """
 
 from __future__ import annotations
@@ -146,19 +151,13 @@ class PiecewiseSystem:
 
     @cached_property
     def _branch_fields(self):
-        plus = ex.compile_field(self.fplus)
-        minus = ex.compile_field(self.fminus)
-        return plus, minus
+        """(t, x) integrator fields of f+ and f-, lambda bound to +-1."""
+        return (ex.compile_field(self.fplus, (("lam", "1.0"),)),
+                ex.compile_field(self.fminus, (("lam", "-1.0"),)))
 
     def branch_field(self, side: int):
         """Time-independent integrator field for the open region sign(x1)=side."""
-        fn = self._branch_fields[0] if side > 0 else self._branch_fields[1]
-        lam = 1.0 if side > 0 else -1.0
-
-        def fld(t, x, _fn=fn, _lam=lam):
-            return _fn(x[0], x[1], x[2], _lam)
-
-        return fld
+        return self._branch_fields[0 if side > 0 else 1]
 
     def surface_curvature(self, x, side: int) -> float:
         """d/dt of f1(x(t); side) along the side's own flow (fold visibility).
@@ -169,8 +168,12 @@ class PiecewiseSystem:
         """
         lam = 1.0 if side > 0 else -1.0
         f = self.branch_field(side)(0.0, x)
-        return sum(d(x[0], x[1], x[2], lam) * f[i]
-                   for i, d in enumerate(self.f1_gradient))
+        x1, x2, x3 = x
+        d1, d2, d3 = self.f1_gradient
+        # left to right from +0.0 on every Python (sum() compensates since
+        # 3.12); -0.0 products still give +0.0
+        return (0.0 + d1(x1, x2, x3, lam) * f[0] + d2(x1, x2, x3, lam) * f[1]
+                + d3(x1, x2, x3, lam) * f[2])
 
 
 def _check_lambda(lam: float) -> None:
@@ -278,12 +281,15 @@ class Trajectory:
     events: int = 0
 
     def append(self, t: float, state, mode: str, lam: float | None) -> None:
+        """Add a sample; one at the last sample's time replaces it, so times
+        stay strictly increasing. An earlier t raises ValueError."""
         if self.times and t <= self.times[-1]:
-            if t == self.times[-1]:
-                # replace coincident sample; keeps times strictly increasing
-                self.states[-1] = tuple(state)
-                self.modes[-1] = mode
-                self.lambdas[-1] = lam
+            if t < self.times[-1]:
+                raise ValueError(f"sample at t = {t!r} precedes the last, "
+                                 f"at t = {self.times[-1]!r}")
+            self.states[-1] = tuple(state)
+            self.modes[-1] = mode
+            self.lambdas[-1] = lam
             return
         self.times.append(t)
         self.states.append(tuple(state))
@@ -410,31 +416,18 @@ def _check_start(x0, t_end: float, stride: float) -> None:
         raise ValueError(f"x0 must be finite, got {tuple(x0)!r}")
 
 
-def _entry_root(sys: PiecewiseSystem, x2: float, x3: float,
-                incoming: int) -> float | None:
-    """Layer equilibrium first reached from lambda = incoming side."""
-    roots = sliding_lambdas(sys, x2, x3)
-    if not roots:
-        return None
-    attracting = [r for r in roots
-                  if sys.f1_dlambda(0.0, x2, x3, r) < 0.0]
-    pool = attracting or roots
-    return max(pool) if incoming > 0 else min(pool)
-
-
 def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
                   opts: IntegratorOptions | None = None) -> Trajectory:
     """Event-driven integration of the piecewise-smooth flow from x0.
 
     Open-region flight uses an adaptive Runge-Kutta pair with the surface
-    crossing located to |x1| <= SURFACE_TOL. Surface arrivals are classified;
-    crossings switch branch. A sliding leg starts at the layer equilibrium
-    lambda* first reached from the incoming side and integrates
-    (lambda, x2, x3) on the critical manifold f1(0, x2, x3, lambda) = 0. It
-    ends where lambda reaches +-1, leaving to side sign(lambda), or where
-    df1/dlambda changes sign (a fold of the manifold, or a folded
-    singularity), leaving to the side the layer flow departs to. Repelling
-    sliding continues but sets the trajectory's non_unique flag. x0 must be
+    crossing located to |x1| <= SURFACE_TOL. A sliding leg integrates
+    (lambda, x2, x3) on the critical manifold f1(0, x2, x3, lambda) = 0
+    until lambda reaches +-1 or df1/dlambda changes sign (a fold of the
+    manifold, or a folded singularity). The legs only integrate: what
+    follows a start on the surface, an arrival on it and a sliding exit is
+    decided, counted and recorded by _next_region alone. Repelling sliding
+    continues but sets the trajectory's non_unique flag. x0 must be
     finite, t_end positive and finite, and t_end / dense_output_stride at
     most MAX_SAMPLES (ValueError otherwise).
     """
@@ -443,44 +436,89 @@ def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
     traj = Trajectory()
     rec = _Recorder(traj, opts.dense_output_stride)
 
-    t = 0.0
+    t, lam = 0.0, None
     x = (float(x0[0]), float(x0[1]), float(x0[2]))
-
     if abs(x[0]) <= SURFACE_TOL:
-        region = 0
+        region, lam = _next_region(sys, traj, t, x, 0)
+        x = (0.0, x[1], x[2])
     else:
         region = 1 if x[0] > 0 else -1
-    traj.append(0.0, x, _free_mode(region) if region else "sliding", None)
+        traj.append(t, x, _free_mode(region), None)
 
-    last_free_region = region
     while t < t_end:
         if traj.events > opts.max_events:
             raise EventLimitError(f"more than {opts.max_events} surface events")
-        if region != 0:
-            last_free_region = region
-            t, x, region = _free_leg(sys, t, x, region, t_end, opts, traj, rec)
+        if region:
+            t, x, arrived = _free_leg(sys, t, x, region, t_end, opts, traj, rec)
+            if arrived:
+                region, lam = _next_region(sys, traj, t, x, region)
         else:
-            t, x, region = _sliding_leg(sys, t, x, t_end, opts, traj, rec,
-                                        incoming=last_free_region)
+            t, x, lam, lam_end = _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec)
+            if lam_end is not None:
+                region, lam = _next_region(sys, traj, t, x, 0, lam, lam_end)
     return traj
 
 
-def _free_leg(sys, t, x, region, t_end, opts, traj, rec):
-    """Integrate one open-region segment; returns (t, x, next_region).
+def _next_region(sys, traj, t, x, came_from: int, lam=None, lam_end=None):
+    """Decide what follows a surface event at (t, x); returns (region, lam).
 
-    A surface arrival picks the next region once: -region at a crossing
-    point, _resolve_tangency's choice at a tangency, and 0 (slide) at a
-    sliding point, which sets non_unique where sliding repels. The arrival
-    is recorded as 'crossing' when that region is nonzero, else 'sliding'.
+    The event is a free leg's arrival from region came_from = +-1, a start
+    on the surface (came_from 0), or a sliding leg's exit where lambda
+    reached lam_end (came_from 0; lam is that exit put back on f1 = 0).
+    This is the one place that counts a surface event, one for an arrival
+    or an exit and none for a start, and appends the event's one record.
+
+    - Arrival: -came_from at a crossing point, _resolve_tangency's choice
+      at a tangency, and a slide at a sliding point, which sets non_unique
+      where sliding repels. A crossing is recorded as 'crossing'.
+    - Slide: region 0 from the root lambda of f1 first reached from the
+      incoming side, a start counting as from below: the largest root from
+      x1 > 0, else the smallest, of the attracting ones (df1/dlambda < 0)
+      or, where none attracts, of all, which sets non_unique. With no root
+      the flow leaves towards sign f1(lambda = 0) and the record has no
+      lambda (and keeps a start's x1).
+    - Exit: towards sign(lam_end) at lambda = +-1. At a fold, where
+      f1 ~ a (lambda - lambda_f)^2 + c, towards sign(a): the side the
+      layer flow departs to.
     """
-    fld = sys.branch_field(region)
-    stepper = Dopri3(fld, t, x, rtol=opts.rel_tol, atol=opts.abs_tol,
-                     max_steps=opts.max_steps)
+    x2, x3 = x[1], x[2]
+    f1_dlam = sys.f1_dlambda
+    if lam_end is not None:
+        traj.events += 1
+        away = lam_end
+        if abs(lam_end) < 1.0:
+            away = f1_dlam(0.0, x2, x3, lam_end + 1e-6) - f1_dlam(0.0, x2, x3, lam_end - 1e-6)
+        traj.append(t, x, "sliding", lam)
+        return 1 if away > 0 else -1, None
+    if came_from:
+        traj.events += 1
+        sm = classify_surface_point(sys, x)
+        traj.non_unique |= sm is SurfaceMode.REPELLING_SLIDING
+        side = (-came_from if sm is SurfaceMode.CROSSING else
+                _resolve_tangency(sys, x) if sm is SurfaceMode.TANGENCY else 0)
+        if side:
+            traj.append(t, x, "crossing", None)
+            return side, None
+    roots = sliding_lambdas(sys, x2, x3)
+    if not roots:
+        traj.append(t, x, "sliding", None)
+        return 1 if sys.f1(0.0, x2, x3, 0.0) > 0 else -1, None
+    attracting = [r for r in roots if f1_dlam(0.0, x2, x3, r) < 0.0]
+    lam = (max if came_from > 0 else min)(attracting or roots)
+    traj.non_unique |= not attracting
+    traj.append(t, (0.0, x2, x3), "sliding", lam)
+    return 0, lam
+
+
+def _free_leg(sys, t, x, region, t_end, opts, traj, rec):
+    """Integrate one open-region segment until the flow reaches x1 = 0 or
+    t_end; returns (t, x, arrived), with x on the surface when arrived."""
+    stepper = Dopri3(sys.branch_field(region), t, x, rtol=opts.rel_tol,
+                     atol=opts.abs_tol, max_steps=opts.max_steps)
     mode = _free_mode(region)
     while stepper.t < t_end:
         stepper.step_to(t_end)
-        x1_prev = stepper.x_prev[0]
-        x1_new = stepper.x[0]
+        x1_prev, x1_new = stepper.x_prev[0], stepper.x[0]
         crossed = (x1_prev * x1_new < 0.0 or
                    (abs(x1_new) <= SURFACE_TOL and abs(x1_prev) > SURFACE_TOL) or
                    (abs(x1_new) > SURFACE_TOL and (x1_new > 0) != (region > 0)))
@@ -490,21 +528,10 @@ def _free_leg(sys, t, x, region, t_end, opts, traj, rec):
         step_interp = stepper.interpolant()
         t_ev = _locate_crossing(stepper, region, step_interp)
         rec.emit_through(t_ev, lambda: step_interp, mode)
-        x_ev = (0.0, stepper.x[1], stepper.x[2])
-        traj.events += 1
-        sm = classify_surface_point(sys, x_ev)
-        if sm is SurfaceMode.CROSSING:
-            side = -region
-        elif sm is SurfaceMode.TANGENCY:
-            side = _resolve_tangency(sys, x_ev)
-        else:  # attracting or repelling sliding
-            side = 0
-            traj.non_unique |= sm is SurfaceMode.REPELLING_SLIDING
-        traj.append(t_ev, x_ev, "crossing" if side else "sliding", None)
-        return stepper.t, x_ev, side
+        return t_ev, (0.0, stepper.x[1], stepper.x[2]), True
     rec.emit_through(t_end, stepper.interpolant, mode)
     traj.append(t_end, stepper.x, mode, None)
-    return stepper.t, stepper.x, region
+    return stepper.t, stepper.x, False
 
 
 def _locate_crossing(stepper: Dopri3, region: int, interp) -> float:
@@ -565,21 +592,18 @@ def _resolve_tangency(sys, x) -> int:
     return other
 
 
-def _sliding_leg(sys, t, x, t_end, opts, traj, rec, incoming: int = -1):
-    """Integrate one sliding segment on x1 = 0; returns (t, x, next_region).
+def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec):
+    """Integrate one sliding segment on x1 = 0 from the root lam of f1 until
+    it leaves its sheet of f1 = 0 or reaches t_end; returns
+    (t, x, lam, lam_end): lam_end is the lambda where it left (None at
+    t_end), and lam the end put back on f1 = 0.
 
     Each accepted step and each dense sample is put back on f1 = 0 by one
-    Newton step in lambda, the exit record by up to 30, to |f1| <= RESIDUAL_TOL.
+    Newton step in lambda, the exit by up to 30, to |f1| <= RESIDUAL_TOL.
     """
     x2, x3 = x[1], x[2]
-    lam = _entry_root(sys, x2, x3, incoming if incoming else -1)
-    if lam is None:
-        side = 1 if sys.f1(0.0, x2, x3, 0.0) > 0 else -1
-        return t, (0.0, x2, x3), side
     f1, f1_dlam = sys.f1, sys.f1_dlambda
     attracting = f1_dlam(0.0, x2, x3, lam) < 0.0
-    if not attracting:
-        traj.non_unique = True
 
     def project(s):
         lam, x2, x3 = s
@@ -595,16 +619,14 @@ def _sliding_leg(sys, t, x, t_end, opts, traj, rec, incoming: int = -1):
 
     stepper = Dopri3(sys._sliding_field, t, (lam, x2, x3), rtol=opts.rel_tol,
                      atol=opts.abs_tol, max_steps=opts.max_steps)
-    traj.append(t, (0.0, x2, x3), "sliding", lam)
     while stepper.t < t_end:
         try:
             stepper.step_to(t_end)
         except StepUnderflowError:
             # steps collapse as lambda' blows up at a fold: exit there
-            lam, x2, x3 = stepper.x
-            if abs(f1_dlam(0.0, x2, x3, lam)) > math.sqrt(RESIDUAL_TOL):
-                raise
             t_ev, s = stepper.t, stepper.x
+            if abs(f1_dlam(0.0, s[1], s[2], s[0])) > math.sqrt(RESIDUAL_TOL):
+                raise
             break
         stepper.x = project(stepper.x)
         if not left(stepper.x):
@@ -627,13 +649,8 @@ def _sliding_leg(sys, t, x, t_end, opts, traj, rec, incoming: int = -1):
         rec.emit_through(t_end, interpolant, "sliding")
         lam, x2, x3 = stepper.x
         traj.append(t_end, (0.0, x2, x3), "sliding", lam)
-        return stepper.t, (0.0, x2, x3), 0
+        return stepper.t, (0.0, x2, x3), lam, None
     lam, x2, x3 = s
-    away = lam
-    if abs(lam) < 1.0:
-        # a fold, where f1 ~ a (lambda - lambda_f)^2 + c: the layer flow
-        # leaves towards sign(a)
-        away = f1_dlam(0.0, x2, x3, lam + 1e-6) - f1_dlam(0.0, x2, x3, lam - 1e-6)
     # near a fold lambda ~ sqrt(t_ev - t), which the step's cubic interpolant
     # follows poorly: one Newton step from it can leave the exit off f1 = 0
     for _ in range(30):
@@ -643,6 +660,4 @@ def _sliding_leg(sys, t, x, t_end, opts, traj, rec, incoming: int = -1):
     else:
         raise SlidingResidualError(
             f"sliding exit at (x2, x3) = ({x2!r}, {x3!r}) stays off f1 = 0")
-    traj.events += 1
-    traj.append(t_ev, (0.0, x2, x3), "sliding", lam)
-    return t_ev, (0.0, x2, x3), 1 if away > 0 else -1
+    return t_ev, (0.0, x2, x3), lam, s[0]

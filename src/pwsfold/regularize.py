@@ -17,7 +17,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from . import expr as ex
 from .exceptions import NonHyperbolicPointError
-from .pws import PiecewiseSystem, _check_lambda, combination, sliding_lambdas
+from .pws import (MAX_SAMPLES, PiecewiseSystem, _check_lambda, combination,
+                  sliding_lambdas)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .twofold import TwoFoldParams
@@ -148,7 +149,7 @@ def compile_regularized_field(sys: PiecewiseSystem, s: Sigmoid, eps: float):
     """
     _check_eps(eps)
     return ex._generate(sys.combined_expressions,
-                        (f"x1 * {1.0 / eps!r}", s.inline.format(u="_u")))
+                        (("_u", f"x1 * {1.0 / eps!r}"), ("lam", s.inline.format(u="_u"))))
 
 
 def layer_field(sys: PiecewiseSystem, lam: float, x2: float, x3: float) -> float:
@@ -225,9 +226,12 @@ def _normal_form_f1_dlambda(alpha: float, lam: float, x2: float, x3: float) -> f
 def nonhyperbolic_curve(params: "TwoFoldParams", n: int) -> list[tuple[float, float, float]]:
     """Sample the curve where normal hyperbolicity fails, for the two-fold
     normal form with hidden strength alpha: (lambda, alpha (lambda-1)^2,
-    -alpha (lambda+1)^2) for lambda in [-1, 1]."""
+    -alpha (lambda+1)^2) for lambda in [-1, 1]. n must lie in
+    [2, pws.MAX_SAMPLES] (ValueError otherwise, before any sample)."""
     if n < 2:
         raise ValueError("need at least 2 samples")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"need at most {MAX_SAMPLES} samples")
     out = []
     for i in range(n):
         lam = -1.0 + 2.0 * i / (n - 1)

@@ -131,7 +131,7 @@ def compare_trajectories(a: Trajectory, b: Trajectory,
     for t in t_grid:
         xa = a.state_at(t)
         xb = b.state_at(t)
-        d = math.sqrt(sum((xa[i] - xb[i]) ** 2 for i in range(3)))
+        d = math.sqrt((xa[0] - xb[0]) ** 2 + (xa[1] - xb[1]) ** 2 + (xa[2] - xb[2]) ** 2)
         if d > worst:
             worst = d
     return worst

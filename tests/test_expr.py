@@ -244,7 +244,7 @@ def test_non_finite_literal_rejected():
 
 
 class TestIntegratorField:
-    """expr._generate given a layer: the field the Runge-Kutta stepper calls."""
+    """expr._generate given binds: the field the Runge-Kutta stepper calls."""
 
     COMPONENTS = ("sin(x1) + x2", "sin(x1) * x3", "2*sin(x1)")
 
@@ -256,7 +256,7 @@ class TestIntegratorField:
             calls.append(v)
             return math.sin(v)
 
-        field = expr._generate(exprs, ("x1", "_u"))
+        field = expr._generate(exprs, (("lam", "x1"),))
         s = math.sin(0.5)
         assert field(0.0, (0.5, 2.0, 3.0), _sin=counting_sin) == (s + 2.0, s * 3.0, 2.0 * s)
         assert calls == [0.5]
@@ -270,7 +270,7 @@ class TestIntegratorField:
         x2 = expr.Var("x2")
         exprs = (expr.BinOp("*", x2, expr.Const(0.0)),
                  expr.BinOp("*", x2, expr.Const(-0.0)), x2)
-        out = expr._generate(exprs, ("x1", "_u"))(0.0, (0.0, 1.0, 0.0))
+        out = expr._generate(exprs, (("lam", "x1"),))(0.0, (0.0, 1.0, 0.0))
         assert [v.hex() for v in out] == ["0x0.0p+0", "-0x0.0p+0", "0x1.0000000000000p+0"]
 
 

@@ -178,9 +178,26 @@ class TestSurfaceCurvature:
         comps = sys.fplus if side > 0 else sys.fminus
         at = (0.0, x2, x3, float(side))
         f = [ex.evaluate(c, *at) for c in comps]
-        want = sum(ex.evaluate(ex.differentiate(comps[0], v), *at) * f[i]
-                   for i, v in enumerate(("x1", "x2", "x3")))
+        g = [ex.evaluate(ex.differentiate(comps[0], v), *at) for v in ("x1", "x2", "x3")]
+        want = 0.0 + g[0] * f[0] + g[1] * f[1] + g[2] * f[2]
         assert sys.surface_curvature((0.0, x2, x3), side).hex() == want.hex()
+
+
+class TestBranchField:
+    def test_is_compiled_once_per_side(self):
+        sys = bundled("example_ii")
+        assert sys.branch_field(1) is sys.branch_field(1)
+        assert sys.branch_field(-1) is sys.branch_field(-1)
+        assert sys.branch_field(1) is not sys.branch_field(-1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(BUNDLED), st.floats(-5, 5), st.floats(-5, 5),
+           st.floats(-5, 5), st.sampled_from((1, -1)))
+    def test_equals_the_side_field_by_the_interpreter(self, sys, x1, x2, x3, side):
+        comps = sys.fplus if side > 0 else sys.fminus
+        want = [ex.evaluate(c, x1, x2, x3, float(side)).hex() for c in comps]
+        got = sys.branch_field(side)(0.0, (x1, x2, x3))
+        assert [v.hex() for v in got] == want
 
 
 class TestSlidingField:
@@ -333,6 +350,49 @@ class TestSlidingLeg:
         assert traj.times[-1] == 1.0
 
 
+class TestSurfaceDecision:
+    # f1 = lambda - 2 lambda^3: roots -1/sqrt(2) and 1/sqrt(2) attract
+    # (df1/dlambda = -2), 0 repels (df1/dlambda = 1); the slide stays put
+    TWO_ATTRACTING = (("-1", "1", "0"), ("1", "1", "0"), ("2*lambda", "0", "0"))
+    # f1 = 2 lambda^3 - lambda: the same roots, of opposite stability
+    TWO_REPELLING = (("1", "1", "0"), ("-1", "1", "0"), ("-2*lambda", "0", "0"))
+
+    @pytest.mark.parametrize("system, x1, lam", [
+        (TWO_ATTRACTING, 0.5, math.sqrt(0.5)),
+        (TWO_ATTRACTING, -0.5, -math.sqrt(0.5)),
+        (TWO_ATTRACTING, 0.0, -math.sqrt(0.5)),  # a start counts as from below
+        (TWO_REPELLING, 0.0, 0.0),  # attracting roots come first
+    ])
+    def test_slide_enters_the_attracting_root_nearest_its_side(self, system, x1, lam):
+        sys = pf.PiecewiseSystem.from_strings(*system)
+        assert pf.sliding_lambdas(sys, 0.0, 0.0) == [
+            pytest.approx(-math.sqrt(0.5), abs=1e-9), 0.0,
+            pytest.approx(math.sqrt(0.5), abs=1e-9)]
+        traj = pf.integrate_pws(sys, (x1, 0.0, 0.0), 1.0)
+        first = traj.modes.index("sliding")
+        assert traj.lambdas[first] == pytest.approx(lam, abs=1e-9)
+        assert traj.lambdas[-1] == pytest.approx(lam, abs=1e-9)
+        assert not traj.non_unique
+
+    def test_each_surface_event_appends_one_record(self, monkeypatch):
+        # no dense samples: the start, the arrival and the t_end record only
+        calls = []
+        append = pf.Trajectory.append
+
+        def spy(traj, t, state, mode, lam):
+            calls.append((t, mode, lam is None))
+            append(traj, t, state, mode, lam)
+
+        monkeypatch.setattr(pf.Trajectory, "append", spy)
+        sys = pf.PiecewiseSystem.from_strings(*self.TWO_ATTRACTING)
+        traj = pf.integrate_pws(sys, (0.5, 0.0, 0.0), 1.0,
+                                PwsOptions(dense_output_stride=10.0))
+        assert calls == [(0.0, "free+", True), (traj.times[1], "sliding", False),
+                         (1.0, "sliding", False)]
+        assert traj.times[1] == pytest.approx(0.5, abs=1e-12)
+        assert traj.events == 1
+
+
 class TestTangency:
     # f+ = (-10 x1, 1, 0) reaches x1 = 0 tangentially, where its normal
     # component and its curvature both vanish; f- decides what follows
@@ -438,6 +498,19 @@ def test_trajectory_state_at_and_range():
     assert traj.state_at(0.5)[1] == pytest.approx(0.5, abs=1e-9)
     with pytest.raises(ValueError):
         traj.state_at(1.5)
+
+
+def test_trajectory_append_replaces_at_the_last_time_and_rejects_earlier():
+    traj = pf.Trajectory()
+    traj.append(0.0, (1.0, 0.0, 0.0), "free+", None)
+    traj.append(1.0, (0.5, 1.0, 0.0), "free+", None)
+    traj.append(1.0, (0.0, 1.0, 0.0), "sliding", 0.25)
+    assert traj.times == [0.0, 1.0]
+    assert (traj.states[-1], traj.modes[-1], traj.lambdas[-1]) == ((0.0, 1.0, 0.0), "sliding", 0.25)
+    with pytest.raises(ValueError, match="precedes"):
+        traj.append(0.5, (0.5, 0.5, 0.0), "free+", None)
+    assert traj.times == [0.0, 1.0]
+    assert traj.states[-1] == (0.0, 1.0, 0.0)
 
 
 def test_trajectory_times_strictly_increasing():

@@ -5,9 +5,10 @@ import random
 import pytest
 
 import pwsfold as pf
-from pwsfold import expr as ex
+from pwsfold import expr as ex, regularize
 from pwsfold.cli import load_system_file
 from pwsfold.exceptions import EvaluationError, NonHyperbolicPointError
+from pwsfold.pws import MAX_SAMPLES
 from pwsfold.regularize import (Stability, builtin_sigmoid, critical_manifold,
                                 critical_manifold_csv, degeneracy_probe,
                                 dummy_field, layer_field, nonhyperbolic_curve,
@@ -248,6 +249,20 @@ class TestNonHyperbolicCurve:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             nonhyperbolic_curve(TwoFoldParams(1, 1, 0, 0, 0.1), 1)
+
+    def test_at_most_max_samples(self, monkeypatch):
+        def sampling_forbidden(*args):
+            pytest.fail("sampled past the bound")
+
+        monkeypatch.setattr(regularize, "_fold_point", sampling_forbidden)
+        with pytest.raises(ValueError, match="at most"):
+            nonhyperbolic_curve(TwoFoldParams(1, 1, -2, -1, 0.2), MAX_SAMPLES + 1)
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(regularize, "MAX_SAMPLES", 12)
+        assert len(nonhyperbolic_curve(TwoFoldParams(1, 1, -2, -1, 0.2), 12)) == 12
+        with pytest.raises(ValueError, match="at most 12"):
+            nonhyperbolic_curve(TwoFoldParams(1, 1, -2, -1, 0.2), 13)
 
     def test_csv(self):
         text = nonhyperbolic_curve_csv(nonhyperbolic_curve(
