@@ -506,7 +506,8 @@ def test_trajectory_append_replaces_at_the_last_time_and_rejects_earlier():
     traj.append(1.0, (0.5, 1.0, 0.0), "free+", None)
     traj.append(1.0, (0.0, 1.0, 0.0), "sliding", 0.25)
     assert traj.times == [0.0, 1.0]
-    assert (traj.states[-1], traj.modes[-1], traj.lambdas[-1]) == ((0.0, 1.0, 0.0), "sliding", 0.25)
+    last = (traj.states[-1], traj.modes[-1], traj.lambdas[-1])
+    assert last == ((0.0, 1.0, 0.0), "sliding", 0.25)
     with pytest.raises(ValueError, match="precedes"):
         traj.append(0.5, (0.5, 0.5, 0.0), "free+", None)
     assert traj.times == [0.0, 1.0]
