@@ -37,11 +37,16 @@ def hermite(t0, x0, f0, t1, x1, f1):
     """Cubic Hermite interpolant of one accepted step, as a function of t.
 
     The Horner coefficients of each component are computed once here; every
-    evaluation then costs three cubics in th = (t - t0) / (t1 - t0).
+    evaluation then costs three cubics in th = (t - t0) / (t1 - t0). The
+    returned at(t) gives one state, and at.each(ts) the states at a list of
+    times in one call, with the same values.
     """
     h = t1 - t0
     if h == 0.0:
-        return lambda t: x1
+        def at(t):
+            return x1
+        at.each = lambda ts: [x1] * len(ts)
+        return at
     a1, a2, a3 = x0
     p1, p2, p3 = f0
     q1, q2, q3 = f1
@@ -60,6 +65,13 @@ def hermite(t0, x0, f0, t1, x1, f1):
                 a2 + th * (b2 + th * (c2 + th * e2)),
                 a3 + th * (b3 + th * (c3 + th * e3)))
 
+    def each(ts):
+        return [(a1 + th * (b1 + th * (c1 + th * e1)),
+                 a2 + th * (b2 + th * (c2 + th * e2)),
+                 a3 + th * (b3 + th * (c3 + th * e3)))
+                for th in [(t - t0) / h for t in ts]]
+
+    at.each = each
     return at
 
 

@@ -283,18 +283,21 @@ class Trajectory:
     def append(self, t: float, state, mode: str, lam: float | None) -> None:
         """Add a sample; one at the last sample's time replaces it, so times
         stay strictly increasing. An earlier t raises ValueError."""
-        if self.times and t <= self.times[-1]:
-            if t < self.times[-1]:
-                raise ValueError(f"sample at t = {t!r} precedes the last, "
+        self.extend([t], [tuple(state)], [mode], [lam])
+
+    def extend(self, times, states, modes, lambdas) -> None:
+        """Add samples at strictly increasing times (states as tuples), as
+        append would one by one: the first replaces a last sample at its
+        time, and raises ValueError if it is earlier."""
+        if self.times and times[0] <= self.times[-1]:
+            if times[0] < self.times[-1]:
+                raise ValueError(f"sample at t = {times[0]!r} precedes the last, "
                                  f"at t = {self.times[-1]!r}")
-            self.states[-1] = tuple(state)
-            self.modes[-1] = mode
-            self.lambdas[-1] = lam
-            return
-        self.times.append(t)
-        self.states.append(tuple(state))
-        self.modes.append(mode)
-        self.lambdas.append(lam)
+            del self.times[-1], self.states[-1], self.modes[-1], self.lambdas[-1]
+        self.times += times
+        self.states += states
+        self.modes += modes
+        self.lambdas += lambdas
 
     @property
     def final_state(self) -> tuple[float, float, float]:
@@ -376,33 +379,41 @@ class _Recorder:
         self.stride = stride
         self.k = 1  # next stride sample index
 
-    def emit_through(self, t_hi: float, interpolant, mode: str | None = None) -> None:
+    def emit_through(self, t_hi: float, dense, mode: str | None = None) -> None:
         """Append the samples up to t_hi; mode None labels each by sign(x1).
 
-        interpolant() builds the step's t -> state function, whose states
-        are (lambda, x2, x3) in mode 'sliding'; it is called
-        only when a sample falls in the step. A sample whose stride multiple
-        rounds past t_hi is taken at t_hi, so the end state or event record
-        appended there next replaces it instead of being dropped.
+        dense() builds the step's function from a list of times to their
+        states, which are (lambda, x2, x3) in mode 'sliding'; it is called
+        only when a sample falls in the step, once for all of them. A sample
+        whose stride multiple rounds past t_hi is taken at t_hi, once, so the
+        end state or event record appended there next replaces it instead of
+        being dropped.
         """
         k, stride = self.k, self.stride
         bound = t_hi + 1e-12 * max(1.0, abs(t_hi))
         t = k * stride
         if t > bound:
             return
-        at = interpolant()
-        append = self.traj.append
-        while t <= bound:
-            if t > t_hi:
-                t = t_hi
-            s = at(t)
-            if mode == "sliding":
-                append(t, (0.0, s[1], s[2]), mode, s[0])
-            else:
-                append(t, s, mode or _free_mode(s[0]), None)
+        ts = []
+        while t <= t_hi:
+            ts.append(t)
             k += 1
             t = k * stride
+        if t <= bound:
+            if not ts or ts[-1] < t_hi:
+                ts.append(t_hi)
+            while t <= bound:
+                k += 1
+                t = k * stride
         self.k = k
+        states = dense()(ts)
+        n = len(ts)
+        if mode == "sliding":
+            self.traj.extend(ts, [(0.0, s[1], s[2]) for s in states], [mode] * n,
+                             [s[0] for s in states])
+        else:
+            modes = [mode] * n if mode else [_free_mode(s[0]) for s in states]
+            self.traj.extend(ts, states, modes, [None] * n)
 
 
 def _check_start(x0, t_end: float, stride: float) -> None:
@@ -516,6 +527,10 @@ def _free_leg(sys, t, x, region, t_end, opts, traj, rec):
     stepper = Dopri3(sys.branch_field(region), t, x, rtol=opts.rel_tol,
                      atol=opts.abs_tol, max_steps=opts.max_steps)
     mode = _free_mode(region)
+
+    def dense():
+        return stepper.interpolant().each
+
     while stepper.t < t_end:
         stepper.step_to(t_end)
         x1_prev, x1_new = stepper.x_prev[0], stepper.x[0]
@@ -523,13 +538,13 @@ def _free_leg(sys, t, x, region, t_end, opts, traj, rec):
                    (abs(x1_new) <= SURFACE_TOL and abs(x1_prev) > SURFACE_TOL) or
                    (abs(x1_new) > SURFACE_TOL and (x1_new > 0) != (region > 0)))
         if not crossed:
-            rec.emit_through(stepper.t, stepper.interpolant, mode)
+            rec.emit_through(stepper.t, dense, mode)
             continue
         step_interp = stepper.interpolant()
         t_ev = _locate_crossing(stepper, region, step_interp)
-        rec.emit_through(t_ev, lambda: step_interp, mode)
+        rec.emit_through(t_ev, lambda: step_interp.each, mode)
         return t_ev, (0.0, stepper.x[1], stepper.x[2]), True
-    rec.emit_through(t_end, stepper.interpolant, mode)
+    rec.emit_through(t_end, dense, mode)
     traj.append(t_end, stepper.x, mode, None)
     return stepper.t, stepper.x, False
 
@@ -613,9 +628,12 @@ def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec):
     def left(s):
         return abs(s[0]) >= 1.0 or (f1_dlam(0.0, s[1], s[2], s[0]) < 0.0) != attracting
 
-    def interpolant():
-        at = stepper.interpolant()
-        return lambda tt: project(at(tt))
+    def projected(at):
+        """at.each with each state put back on f1 = 0."""
+        return lambda ts: [project(s) for s in at.each(ts)]
+
+    def dense():
+        return projected(stepper.interpolant())
 
     stepper = Dopri3(sys._sliding_field, t, (lam, x2, x3), rtol=opts.rel_tol,
                      atol=opts.abs_tol, max_steps=opts.max_steps)
@@ -630,23 +648,23 @@ def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec):
             break
         stepper.x = project(stepper.x)
         if not left(stepper.x):
-            rec.emit_through(stepper.t, interpolant, "sliding")
+            rec.emit_through(stepper.t, dense, "sliding")
             continue
-        at = interpolant()
+        at = stepper.interpolant()
         lo, hi = stepper.t_prev, stepper.t
         while hi - lo > 1e-9 * max(1.0, abs(hi)):
             mid = 0.5 * (lo + hi)
-            if left(at(mid)):
+            if left(project(at(mid))):
                 hi = mid
             else:
                 lo = mid
-        if abs(at(hi)[0]) < 1.0:
+        if abs(project(at(hi))[0]) < 1.0:
             hi = lo  # past a fold f1 = 0 has no root nearby: exit before it
-        t_ev, s = hi, at(hi)
-        rec.emit_through(t_ev, lambda: at, "sliding")
+        t_ev, s = hi, project(at(hi))
+        rec.emit_through(t_ev, lambda: projected(at), "sliding")
         break
     else:  # t_end reached without an exit
-        rec.emit_through(t_end, interpolant, "sliding")
+        rec.emit_through(t_end, dense, "sliding")
         lam, x2, x3 = stepper.x
         traj.append(t_end, (0.0, x2, x3), "sliding", lam)
         return stepper.t, (0.0, x2, x3), lam, None
