@@ -7,7 +7,10 @@ step seeds the next. The stepper keeps the start of its last accepted step
 (t_prev, x_prev, f_prev); event location rewinds to it and re-advances.
 Step sizes are bounded by the error control and the target time only. In
 the stiff layer of a regularized system the error control alone holds the
-step near the explicit pair's stability boundary.
+step near the explicit pair's stability boundary. A stepper starts from an
+estimated step unless given one: each leg of an event-driven run after its
+first starts at the last step its predecessor accepted before its surface
+event was located, so it does not ramp up again from a tiny step.
 """
 
 from __future__ import annotations
@@ -82,7 +85,8 @@ class Dopri3:
     """
 
     def __init__(self, field, t0: float, x0, *, rtol: float = 1e-8,
-                 atol: float = 1e-10, max_steps: int = 50_000_000):
+                 atol: float = 1e-10, max_steps: int = 50_000_000,
+                 h: float | None = None):
         self.field = field
         self.t = float(t0)
         self.x = (float(x0[0]), float(x0[1]), float(x0[2]))
@@ -91,7 +95,11 @@ class Dopri3:
         self.atol = atol
         self.max_steps = max_steps
         self.nsteps = 0
-        self.h = self._initial_step()
+        # h, the first step to try, defaults to an estimate from the start
+        if h is None:
+            h = self._initial_step()
+        # never below the 16 ulp under which step_to raises StepUnderflowError
+        self.h = max(h, 32.0 * math.ulp(max(abs(self.t), 1.0)))
         # previous accepted endpoint, for interpolation and event rewind
         self.t_prev = self.t
         self.x_prev = self.x
@@ -105,9 +113,7 @@ class Dopri3:
         fn = math.sqrt(f1 * f1 + f2 * f2 + f3 * f3)
         xn = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
         scale = self.atol + self.rtol * max(xn, 1.0)
-        h = 0.01 * scale / fn if fn > 0 else 1e-6
-        # never below the 16 ulp under which step_to raises StepUnderflowError
-        return max(h, 32.0 * math.ulp(max(abs(self.t), 1.0)))
+        return 0.01 * scale / fn if fn > 0 else 1e-6
 
     def interpolant(self):
         """hermite() of the last accepted step, (t_prev, t)."""

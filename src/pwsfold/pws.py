@@ -437,17 +437,21 @@ def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
     until lambda reaches +-1 or df1/dlambda changes sign (a fold of the
     manifold, or a folded singularity). The legs only integrate: what
     follows a start on the surface, an arrival on it and a sliding exit is
-    decided, counted and recorded by _next_region alone. Repelling sliding
-    continues but sets the trajectory's non_unique flag. x0 must be
-    finite, t_end positive and finite, and t_end / dense_output_stride at
-    most MAX_SAMPLES (ValueError otherwise).
+    decided, counted and recorded by _next_region alone. The first leg
+    starts from an estimated step; each later leg starts at the last step
+    its predecessor accepted before its event was located (at a sliding
+    exit taken where the steps collapse, the last one accepted), and error
+    control trims it as usual. Repelling sliding continues but sets the
+    trajectory's non_unique flag. x0 must be finite, t_end positive and
+    finite, and t_end / dense_output_stride at most MAX_SAMPLES
+    (ValueError otherwise).
     """
     opts = opts or IntegratorOptions()
     _check_start(x0, t_end, opts.dense_output_stride)
     traj = Trajectory()
     rec = _Recorder(traj, opts.dense_output_stride)
 
-    t, lam = 0.0, None
+    t, lam, h = 0.0, None, None
     x = (float(x0[0]), float(x0[1]), float(x0[2]))
     if abs(x[0]) <= SURFACE_TOL:
         region, lam = _next_region(sys, traj, t, x, 0)
@@ -460,11 +464,11 @@ def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
         if traj.events > opts.max_events:
             raise EventLimitError(f"more than {opts.max_events} surface events")
         if region:
-            t, x, arrived = _free_leg(sys, t, x, region, t_end, opts, traj, rec)
+            t, x, arrived, h = _free_leg(sys, t, x, region, t_end, opts, traj, rec, h)
             if arrived:
                 region, lam = _next_region(sys, traj, t, x, region)
         else:
-            t, x, lam, lam_end = _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec)
+            t, x, lam, lam_end, h = _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h)
             if lam_end is not None:
                 region, lam = _next_region(sys, traj, t, x, 0, lam, lam_end)
     return traj
@@ -521,11 +525,13 @@ def _next_region(sys, traj, t, x, came_from: int, lam=None, lam_end=None):
     return 0, lam
 
 
-def _free_leg(sys, t, x, region, t_end, opts, traj, rec):
-    """Integrate one open-region segment until the flow reaches x1 = 0 or
-    t_end; returns (t, x, arrived), with x on the surface when arrived."""
+def _free_leg(sys, t, x, region, t_end, opts, traj, rec, h):
+    """Integrate one open-region segment, starting with step h (None: an
+    estimate), until the flow reaches x1 = 0 or t_end; returns
+    (t, x, arrived, h), with x on the surface and h the last accepted step,
+    before event location, when arrived."""
     stepper = Dopri3(sys.branch_field(region), t, x, rtol=opts.rel_tol,
-                     atol=opts.abs_tol, max_steps=opts.max_steps)
+                     atol=opts.abs_tol, max_steps=opts.max_steps, h=h)
     mode = _free_mode(region)
 
     def dense():
@@ -540,13 +546,14 @@ def _free_leg(sys, t, x, region, t_end, opts, traj, rec):
         if not crossed:
             rec.emit_through(stepper.t, dense, mode)
             continue
+        h = stepper.t - stepper.t_prev
         step_interp = stepper.interpolant()
         t_ev = _locate_crossing(stepper, region, step_interp)
         rec.emit_through(t_ev, lambda: step_interp.each, mode)
-        return t_ev, (0.0, stepper.x[1], stepper.x[2]), True
+        return t_ev, (0.0, stepper.x[1], stepper.x[2]), True, h
     rec.emit_through(t_end, dense, mode)
     traj.append(t_end, stepper.x, mode, None)
-    return stepper.t, stepper.x, False
+    return stepper.t, stepper.x, False, None
 
 
 def _locate_crossing(stepper: Dopri3, region: int, interp) -> float:
@@ -607,11 +614,12 @@ def _resolve_tangency(sys, x) -> int:
     return other
 
 
-def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec):
-    """Integrate one sliding segment on x1 = 0 from the root lam of f1 until
-    it leaves its sheet of f1 = 0 or reaches t_end; returns
-    (t, x, lam, lam_end): lam_end is the lambda where it left (None at
-    t_end), and lam the end put back on f1 = 0.
+def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h):
+    """Integrate one sliding segment on x1 = 0 from the root lam of f1,
+    starting with step h (None: an estimate), until it leaves its sheet of
+    f1 = 0 or reaches t_end; returns (t, x, lam, lam_end, h): lam_end is the
+    lambda where it left (None at t_end), lam the end put back on f1 = 0
+    and h the last accepted step before the exit was located.
 
     Each accepted step and each dense sample is put back on f1 = 0 by one
     Newton step in lambda, the exit by up to 30, to |f1| <= RESIDUAL_TOL.
@@ -636,7 +644,7 @@ def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec):
         return projected(stepper.interpolant())
 
     stepper = Dopri3(sys._sliding_field, t, (lam, x2, x3), rtol=opts.rel_tol,
-                     atol=opts.abs_tol, max_steps=opts.max_steps)
+                     atol=opts.abs_tol, max_steps=opts.max_steps, h=h)
     while stepper.t < t_end:
         try:
             stepper.step_to(t_end)
@@ -667,7 +675,8 @@ def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec):
         rec.emit_through(t_end, dense, "sliding")
         lam, x2, x3 = stepper.x
         traj.append(t_end, (0.0, x2, x3), "sliding", lam)
-        return stepper.t, (0.0, x2, x3), lam, None
+        return stepper.t, (0.0, x2, x3), lam, None, None
+    h = stepper.t - stepper.t_prev
     lam, x2, x3 = s
     # near a fold lambda ~ sqrt(t_ev - t), which the step's cubic interpolant
     # follows poorly: one Newton step from it can leave the exit off f1 = 0
@@ -678,4 +687,4 @@ def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec):
     else:
         raise SlidingResidualError(
             f"sliding exit at (x2, x3) = ({x2!r}, {x3!r}) stays off f1 = 0")
-    return t_ev, (0.0, x2, x3), lam, s[0]
+    return t_ev, (0.0, x2, x3), lam, s[0], h

@@ -350,6 +350,25 @@ class TestSlidingLeg:
         assert traj.times[-1] == 1.0
 
 
+class TestLegRestart:
+    def test_legs_after_an_event_do_not_ramp_up_again(self, monkeypatch):
+        # 39 surface events; with every leg starting from a ~1e-10 step
+        # estimate this run took 1331 Runge-Kutta attempts, with each leg
+        # after the first starting at its predecessor's last step, 845
+        steppers = []
+
+        class Recorded(pf.pws.Dopri3):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                steppers.append(self)
+
+        monkeypatch.setattr(pf.pws, "Dopri3", Recorded)
+        traj = pf.integrate_pws(pf.example_system("ii"), (0.1, -0.5, 0.5), 50.0)
+        assert traj.events == 39
+        assert len(steppers) == 40
+        assert sum(s.nsteps for s in steppers) <= 900
+
+
 class TestSurfaceDecision:
     # f1 = lambda - 2 lambda^3: roots -1/sqrt(2) and 1/sqrt(2) attract
     # (df1/dlambda = -2), 0 repels (df1/dlambda = 1); the slide stays put
