@@ -28,7 +28,7 @@ from . import expr as ex
 from .exceptions import (EvaluationError, EventLimitError, SlidingResidualError,
                          StepUnderflowError)
 from ._rk import Dopri3
-from .roots import polish_bracketed_root, real_quadratic_roots
+from .roots import bisect_root, polish_bracketed_root, real_quadratic_roots
 
 __all__ = [
     "PiecewiseSystem", "SurfaceMode", "Trajectory", "IntegratorOptions",
@@ -215,8 +215,11 @@ def sliding_lambdas(sys: PiecewiseSystem, x2: float, x3: float) -> list[float]:
     form, with the coefficients a = (f1(1) + f1(-1))/2 - f1(0),
     b = (f1(1) - f1(-1))/2 and c = f1(0) formed from three evaluations of
     f1; otherwise from a sign-change scan over 64 subintervals followed by a
-    secant/bisection polish to residual 1e-12. critical_manifold and the
-    sliding legs find their roots here.
+    secant/bisection polish to residual 1e-12. A subinterval whose end
+    values share a sign but whose df1/dlambda changes sign may still hold a
+    close pair of roots: its extremum is polished as a root of df1/dlambda,
+    and where f1 changes sign there both halves are polished.
+    critical_manifold and the sliding legs find their roots here.
     """
     f1 = sys.f1
     deg = sys.lambda_degree
@@ -232,8 +235,16 @@ def sliding_lambdas(sys: PiecewiseSystem, x2: float, x3: float) -> list[float]:
     def g(lam: float) -> float:
         return f1(0.0, x2, x3, lam)
 
+    def dg(lam: float) -> float:
+        # no sign information where the partial cannot be evaluated
+        try:
+            return sys.f1_dlambda(0.0, x2, x3, lam)
+        except (ArithmeticError, ValueError):
+            return math.nan
+
     nodes = [-1.0 + 2.0 * i / _N_SCAN for i in range(_N_SCAN + 1)]
     vals = [g(u) for u in nodes]
+    slopes = [dg(u) for u in nodes]
     roots: list[float] = []
     for i in range(_N_SCAN):
         lo, hi, flo, fhi = nodes[i], nodes[i + 1], vals[i], vals[i + 1]
@@ -243,6 +254,14 @@ def sliding_lambdas(sys: PiecewiseSystem, x2: float, x3: float) -> list[float]:
         if flo * fhi < 0.0:
             roots.append(polish_bracketed_root(g, lo, hi, flo, fhi,
                                                residual_tol=1e-12))
+        elif slopes[i] * slopes[i + 1] < 0.0:
+            mid = bisect_root(dg, lo, hi, slopes[i], residual_tol=0.0)
+            fmid = g(mid)
+            if abs(fmid) <= 1e-12:
+                roots.append(mid)
+            elif flo * fmid < 0.0:
+                roots.append(bisect_root(g, lo, mid, flo))
+                roots.append(bisect_root(g, mid, hi, fmid))
     if vals[-1] == 0.0:
         roots.append(1.0)
     out: list[float] = []

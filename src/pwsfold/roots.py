@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["real_quadratic_roots", "polish_bracketed_root"]
+__all__ = ["real_quadratic_roots", "polish_bracketed_root", "bisect_root"]
 
 _MAX_ITER = 200  # secant/bisection iterations of polish_bracketed_root
 
@@ -65,3 +65,24 @@ def polish_bracketed_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
         if hi - lo <= math.ulp(max(abs(lo), abs(hi), 1.0)):
             return 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
+
+
+def bisect_root(f, lo: float, hi: float, f_lo: float, *,
+                residual_tol: float = 1e-12) -> float:
+    """Halve a sign-change bracket (f_lo * f(hi) < 0) until |f| <=
+    residual_tol or the bracket width reaches machine resolution.
+
+    Slower than polish_bracketed_root, whose secant steps stall where f is
+    flat, as beside an extremum of f between two close roots.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        f_mid = f(mid)
+        if abs(f_mid) <= residual_tol:
+            return mid
+        if f_lo * f_mid < 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
