@@ -9,8 +9,9 @@ Grammar (standard precedence, left-associative within a level):
     atom       := NUMBER | VARIABLE | FUNC '(' expression ')' | '(' expression ')'
 
 '^' binds tighter than unary minus, so -x2^2 parses as -(x2^2). Exponents are
-restricted to integer literals. Parsed trees are immutable and safe to share
-between threads.
+restricted to integer literals. Parentheses, function calls and unary minus
+nest at most MAX_NESTING deep (ParseError otherwise). Parsed trees are
+immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .exceptions import EvaluationError, ParseError
+from .exceptions import EvaluationError, ParseError, ValidationError
 
 __all__ = [
     "Const", "Var", "Neg", "BinOp", "Pow", "Call", "Expression",
@@ -30,6 +31,10 @@ __all__ = [
 ]
 
 VARIABLES = ("x1", "x2", "x3", "lambda")
+# Parentheses, calls and unary minus nested inside one another; the parser
+# recurses through up to 5 frames per level, well within Python's default
+# recursion limit of 1000 at this depth.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,16 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # nesting levels open
+
+    def nested(self, parse, pos: int) -> Expression:
+        """parse() one nesting level deeper, at most MAX_NESTING levels."""
+        if self.depth >= MAX_NESTING:
+            raise ParseError(f"nested more than {MAX_NESTING} levels deep", pos)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -149,8 +164,8 @@ class _Parser:
 
     def unary(self) -> Expression:
         if self.peek()[0] == "-":
-            self.advance()
-            return Neg(self.unary())
+            pos = self.advance()[2]
+            return Neg(self.nested(self.unary, pos))
         return self.power()
 
     def power(self) -> Expression:
@@ -182,7 +197,7 @@ class _Parser:
                 if text not in FUNCTIONS:
                     raise ParseError(f"unknown function {text!r}", pos)
                 self.advance()
-                arg = self.expression()
+                arg = self.nested(self.expression, pos)
                 self.expect(")")
                 return Call(text, arg)
             if text not in VARIABLES:
@@ -190,7 +205,7 @@ class _Parser:
             return Var(text)
         if kind == "(":
             self.advance()
-            node = self.expression()
+            node = self.nested(self.expression, pos)
             self.expect(")")
             return node
         raise ParseError(f"expected an operand, found {text or 'end of input'!r}", pos)
@@ -496,22 +511,27 @@ def _generate(exprs, binds: tuple[tuple[str, str], ...] | None = None) -> Callab
     each repeated subexpression once (_shared_source), as a field called 6
     times per Runge-Kutta attempt repays. The other functions are compiled
     often and called a few times each, so they keep the plain printer.
+    A tree too deep for the printer or for Python's compiler (about 200
+    nested operations) raises ValidationError.
     """
     items = exprs if isinstance(exprs, tuple) else (exprs,)
-    if binds is None:
-        sources = [_py_source(e) for e in items]
-        head = f"def _f(x1, x2, x3, lam, {_PRELUDE}):\n"
-    else:
-        sources = _shared_source(items)
-        head = (f"def _f(t, x, {_PRELUDE}):\n"
-                "    x1, x2, x3 = x\n"
-                + "".join(f"    {name} = {source}\n" for name, source in binds))
-    if isinstance(exprs, tuple):
-        result = "(" + ", ".join(sources) + ")"
-    else:
-        result = sources[0]
     ns = dict(_BINDINGS)
-    exec(f"{head}    return {result}\n", ns)
+    try:
+        if binds is None:
+            sources = [_py_source(e) for e in items]
+            head = f"def _f(x1, x2, x3, lam, {_PRELUDE}):\n"
+        else:
+            sources = _shared_source(items)
+            head = (f"def _f(t, x, {_PRELUDE}):\n"
+                    "    x1, x2, x3 = x\n"
+                    + "".join(f"    {name} = {source}\n" for name, source in binds))
+        if isinstance(exprs, tuple):
+            result = "(" + ", ".join(sources) + ")"
+        else:
+            result = sources[0]
+        exec(f"{head}    return {result}\n", ns)
+    except (SyntaxError, RecursionError) as exc:
+        raise ValidationError(f"expression too deeply nested to compile ({exc})") from exc
     return ns["_f"]
 
 

@@ -379,6 +379,29 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("numerical failure: ZeroDivisionError")
 
 
+class TestDeepExpressions:
+    # Python recurses at most about 1000 frames deep, and compiles at most
+    # 200 nested parentheses
+    def test_deep_nesting_exit_2(self, tmp_path, capsys):
+        path = write_json(tmp_path, "deep.json", {
+            "fplus": ["(" * 200 + "x2" + ")" * 200, "1", "0"],
+            "fminus": ["1", "0", "0"]})
+        out = str(tmp_path / "out.csv")
+        for argv in (["show", path],
+                     ["simulate", path, "--mode", "pws", "--t-end", "1",
+                      "--x0", "1,0,0", "--out", out]):
+            assert run(argv) == 2
+            assert "nested more than 100 levels deep" in capsys.readouterr().err
+
+    def test_long_sum_exit_2(self, tmp_path, capsys):
+        path = write_json(tmp_path, "long.json", {
+            "fplus": ["-1", "+".join(["x2"] * 250), "0"],
+            "fminus": ["1", "0", "0"]})
+        assert run(["simulate", path, "--mode", "pws", "--t-end", "1",
+                    "--x0", "1,0,0", "--out", str(tmp_path / "out.csv")]) == 2
+        assert "too deeply nested to compile" in capsys.readouterr().err
+
+
 class TestShow:
     def test_canonical_round_trip(self, capsys):
         from pwsfold import expr

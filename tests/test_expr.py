@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pwsfold import expr
-from pwsfold.exceptions import EvaluationError, ParseError
+from pwsfold.exceptions import EvaluationError, ParseError, ValidationError
 from pwsfold.regularize import builtin_sigmoid, compile_regularized_field
 from pwsfold.sim import example_system
 
@@ -74,6 +74,24 @@ class TestParse:
 
     def test_lambda_is_a_variable(self):
         assert ev("1 - 2*lambda^2", lam=1.0) == -1.0
+
+
+class TestNesting:
+    @pytest.mark.parametrize("open_, close", [("(", ")"), ("sin(", ")"), ("-", "")])
+    def test_bound_on_nesting_depth(self, open_, close):
+        n = expr.MAX_NESTING
+        expr.parse_expression(open_ * n + "x2" + close * n)
+        with pytest.raises(ParseError) as err:
+            expr.parse_expression(open_ * (n + 1) + "x2" + close * (n + 1))
+        assert err.value.position == n * len(open_)
+
+    def test_too_deep_to_compile_is_a_validation_error(self):
+        # parses (the sum nests left, not in the parser), but its source
+        # nests 250 parentheses deep, past Python's limit of 200
+        tree = expr.parse_expression("+".join(["x2"] * 250))
+        assert expr.evaluate(tree, 0.0, 1.0, 0.0, 0.0) == 250.0
+        with pytest.raises(ValidationError, match="too deeply nested"):
+            expr.compile_expression(tree)
 
 
 class TestEvaluate:
