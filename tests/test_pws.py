@@ -10,7 +10,8 @@ import pwsfold as pf
 from pwsfold import expr as ex
 from pwsfold.cli import load_system_file
 from pwsfold.exceptions import SlidingResidualError, StepUnderflowError
-from pwsfold.pws import PwsOptions, _resolve_tangency
+from pwsfold._rk import hermite
+from pwsfold.pws import PwsOptions, _Recorder, _resolve_tangency
 from pwsfold.twofold import TwoFoldParams, build_normal_form
 
 
@@ -154,6 +155,32 @@ class TestSlidingLambdas:
             fplus, ("-1", "0", "0"), ("0.1*lambda", "0", "0"))
         assert sys.lambda_degree == 3
         assert pf.sliding_lambdas(sys, 0.3, -0.2) == expected
+
+    @pytest.mark.parametrize("below", [1e-3, 1e-4, 1e-6, 1e-9])
+    def test_scan_finds_a_close_pair_beside_an_extremum(self, below):
+        # f1 = x2 + lambda - lambda^3 has its minimum 2/(3 sqrt 3) at
+        # lambda = -1/sqrt 3; just below it the two roots fall in one scan
+        # subinterval, whose end values share a sign
+        sys = pf.PiecewiseSystem.from_strings(("x2", "1", "0"), ("x2", "1", "0"),
+                                              ("lambda", "0", "0"))
+        x2 = 2.0 / (3.0 * math.sqrt(3.0)) - below
+        roots = pf.sliding_lambdas(sys, x2, 0.0)
+        assert len(roots) == 2
+        for r in roots:
+            assert abs(sys.f1(0.0, x2, 0.0, r)) <= 1e-12
+        if below == 1e-4:
+            assert roots == pytest.approx([-0.58493, -0.56974], abs=1e-5)
+
+    def test_scan_skips_a_slope_it_cannot_evaluate(self):
+        # f1 = (1 - lambda^2)(|lambda| - 0.5); its lambda-partial holds
+        # lambda/|lambda|, which divides by zero at the node 0
+        sys = pf.PiecewiseSystem.from_strings(("0", "0", "0"), ("0", "0", "0"),
+                                              ("abs(lambda) - 0.5", "0", "0"))
+        assert sys.lambda_degree is None
+        with pytest.raises(ZeroDivisionError):
+            sys.f1_dlambda(0.0, 0.0, 0.0, 0.0)
+        roots = pf.sliding_lambdas(sys, 0.0, 0.0)
+        assert roots == pytest.approx([-1.0, -0.5, 0.5, 1.0], abs=1e-12)
 
     def test_attracting_root_exists_where_attracting(self):
         rng = random.Random(5)
@@ -537,6 +564,113 @@ def test_trajectory_times_strictly_increasing():
     sys = normal_form(1, 1, -2, -1, 0.2)
     traj = pf.integrate_pws(sys, (0.5, 1.0, 1.0), 5.0)
     assert all(t1 < t2 for t1, t2 in zip(traj.times, traj.times[1:]))
+
+
+def per_sample_emit(traj, k, stride, t_hi, at, mode=None):
+    """The dense-output recorder one sample at a time (the reference):
+    appends the samples up to t_hi of the step's t -> state function at,
+    and returns the next stride index."""
+    bound = t_hi + 1e-12 * max(1.0, abs(t_hi))
+    t = k * stride
+    while t <= bound:
+        if t > t_hi:
+            t = t_hi
+        s = at(t)
+        if mode == "sliding":
+            traj.append(t, (0.0, s[1], s[2]), mode, s[0])
+        else:
+            traj.append(t, s, mode or ("free+" if s[0] >= 0 else "free-"), None)
+        k += 1
+        t = k * stride
+    return k
+
+
+class TestRecorder:
+    # one step from t = 0.25 to 1.0 whose x1 changes sign
+    STEP = (0.25, (0.5, 1.0, -1.0), (-1.0, 0.5, 2.0),
+            1.0, (-0.25, 1.25, 0.5), (-0.5, 0.0, 1.0))
+
+    def both(self, stride, t_hi, mode=None, k=1, first=(0.0, (0.5, 1.0, -1.0)),
+             project=None):
+        """(batched, reference) trajectories after one emit_through."""
+        at = hermite(*self.STEP)
+        state_at = at if project is None else (lambda t: project(at(t)))
+        batch_of = (at.each if project is None
+                    else (lambda ts: [project(s) for s in at.each(ts)]))
+        out = []
+        for batched in (True, False):
+            traj = pf.Trajectory()
+            traj.append(first[0], first[1], "free+", None)
+            if batched:
+                rec = _Recorder(traj, stride)
+                rec.k = k
+                rec.emit_through(t_hi, lambda: batch_of, mode)
+                next_k = rec.k
+            else:
+                next_k = per_sample_emit(traj, k, stride, t_hi, state_at, mode)
+            out.append((traj, next_k))
+        return out
+
+    def assert_same(self, pair):
+        (a, ka), (b, kb) = pair
+        assert ka == kb
+        assert (a.times, a.states, a.modes, a.lambdas) == \
+            (b.times, b.states, b.modes, b.lambdas)
+
+    def test_many_samples_in_one_step(self):
+        pair = self.both(1e-3, 1.0)
+        self.assert_same(pair)
+        traj = pair[0][0]
+        assert len(traj.times) == 1001
+        assert {"free+", "free-"} == set(traj.modes[1:])
+
+    def test_clamped_sample_is_replaced_by_the_event_record(self):
+        # 3 * 0.1 rounds above 0.3: that sample is taken at t_hi = 0.3
+        pair = self.both(0.1, 0.3, "free+", k=3)
+        self.assert_same(pair)
+        assert pair[0][0].times[-1] == 0.3
+        for traj, _ in pair:
+            traj.append(0.3, (0.0, 1.0, 0.0), "crossing", None)
+        self.assert_same(pair)
+        assert pair[0][0].modes[-2:] == ["free+", "crossing"]
+
+    def test_repeated_clamped_time_is_one_sample(self):
+        # ten stride multiples fall between t_hi = 0.75 and its rounding
+        # bound; each is taken at t_hi
+        stride = 1e-13
+        pair = self.both(stride, 0.75, k=int(0.75 / stride) - 2)
+        self.assert_same(pair)
+        times = pair[0][0].times
+        assert times[-1] == 0.75 and times[-2] < 0.75
+        assert pair[0][1] * stride > 0.75 + 1e-12
+
+    def test_sliding_batch(self):
+        def project(s):
+            lam, x2, x3 = s
+            return (0.5 * lam, x2, x3 + lam * lam)
+
+        pair = self.both(0.01, 0.9, "sliding", project=project)
+        self.assert_same(pair)
+        traj = pair[0][0]
+        assert set(traj.modes[1:]) == {"sliding"}
+        assert all(x[0] == 0.0 and lam is not None
+                   for x, lam in zip(traj.states[1:], traj.lambdas[1:]))
+
+    def test_earlier_first_sample_raises(self):
+        # the first stride sample, 0.1, precedes the trajectory's last, 0.5
+        at = hermite(*self.STEP)
+        for emit in (lambda traj: _Recorder(traj, 0.1).emit_through(1.0, lambda: at.each),
+                     lambda traj: per_sample_emit(traj, 1, 0.1, 1.0, at)):
+            traj = pf.Trajectory()
+            traj.append(0.5, (0.0, 0.0, 0.0), "free+", None)
+            with pytest.raises(ValueError, match="precedes"):
+                emit(traj)
+            assert traj.times == [0.5]
+        traj = pf.Trajectory()
+        traj.append(0.5, (0.0, 0.0, 0.0), "free+", None)
+        with pytest.raises(ValueError, match="precedes"):
+            traj.extend([0.4, 0.6], [(0.0, 0.0, 0.0)] * 2, ["free+"] * 2, [None] * 2)
+        assert traj.times == [0.5]
 
 
 class TestRunEnd:
