@@ -398,15 +398,15 @@ class _Recorder:
         self.stride = stride
         self.k = 1  # next stride sample index
 
-    def emit_through(self, t_hi: float, dense, mode: str | None = None) -> None:
+    def emit_through(self, t_hi: float, interpolant, mode: str | None = None) -> None:
         """Append the samples up to t_hi; mode None labels each by sign(x1).
 
-        dense() builds the step's function from a list of times to their
-        states, which are (lambda, x2, x3) in mode 'sliding'; it is called
-        only when a sample falls in the step, once for all of them. A sample
-        whose stride multiple rounds past t_hi is taken at t_hi, once, so the
-        end state or event record appended there next replaces it instead of
-        being dropped.
+        interpolant() builds the step's t -> state function, whose states
+        are (lambda, x2, x3) in mode 'sliding'; it is called only when a
+        sample falls in the step, and its .each then evaluates all of them
+        in one call. A sample whose stride multiple rounds past t_hi is
+        taken at t_hi, once, so the end state or event record appended there
+        next replaces it instead of being dropped.
         """
         k, stride = self.k, self.stride
         bound = t_hi + 1e-12 * max(1.0, abs(t_hi))
@@ -425,7 +425,7 @@ class _Recorder:
                 k += 1
                 t = k * stride
         self.k = k
-        states = dense()(ts)
+        states = interpolant().each(ts)
         n = len(ts)
         if mode == "sliding":
             self.traj.extend(ts, [(0.0, s[1], s[2]) for s in states], [mode] * n,
@@ -552,10 +552,6 @@ def _free_leg(sys, t, x, region, t_end, opts, traj, rec, h):
     stepper = Dopri3(sys.branch_field(region), t, x, rtol=opts.rel_tol,
                      atol=opts.abs_tol, max_steps=opts.max_steps, h=h)
     mode = _free_mode(region)
-
-    def dense():
-        return stepper.interpolant().each
-
     while stepper.t < t_end:
         stepper.step_to(t_end)
         x1_prev, x1_new = stepper.x_prev[0], stepper.x[0]
@@ -563,14 +559,14 @@ def _free_leg(sys, t, x, region, t_end, opts, traj, rec, h):
                    (abs(x1_new) <= SURFACE_TOL and abs(x1_prev) > SURFACE_TOL) or
                    (abs(x1_new) > SURFACE_TOL and (x1_new > 0) != (region > 0)))
         if not crossed:
-            rec.emit_through(stepper.t, dense, mode)
+            rec.emit_through(stepper.t, stepper.interpolant, mode)
             continue
         h = stepper.t - stepper.t_prev
         step_interp = stepper.interpolant()
         t_ev = _locate_crossing(stepper, region, step_interp)
-        rec.emit_through(t_ev, lambda: step_interp.each, mode)
+        rec.emit_through(t_ev, lambda: step_interp, mode)
         return t_ev, (0.0, stepper.x[1], stepper.x[2]), True, h
-    rec.emit_through(t_end, dense, mode)
+    rec.emit_through(t_end, stepper.interpolant, mode)
     traj.append(t_end, stepper.x, mode, None)
     return stepper.t, stepper.x, False, None
 
@@ -655,12 +651,14 @@ def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h):
     def left(s):
         return abs(s[0]) >= 1.0 or (f1_dlam(0.0, s[1], s[2], s[0]) < 0.0) != attracting
 
-    def projected(at):
-        """at.each with each state put back on f1 = 0."""
-        return lambda ts: [project(s) for s in at.each(ts)]
+    def interpolant():
+        at = stepper.interpolant()
 
-    def dense():
-        return projected(stepper.interpolant())
+        def projected(tt):
+            return project(at(tt))
+
+        projected.each = lambda ts: [project(s) for s in at.each(ts)]
+        return projected
 
     stepper = Dopri3(sys._sliding_field, t, (lam, x2, x3), rtol=opts.rel_tol,
                      atol=opts.abs_tol, max_steps=opts.max_steps, h=h)
@@ -675,23 +673,23 @@ def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h):
             break
         stepper.x = project(stepper.x)
         if not left(stepper.x):
-            rec.emit_through(stepper.t, dense, "sliding")
+            rec.emit_through(stepper.t, interpolant, "sliding")
             continue
-        at = stepper.interpolant()
+        at = interpolant()
         lo, hi = stepper.t_prev, stepper.t
         while hi - lo > 1e-9 * max(1.0, abs(hi)):
             mid = 0.5 * (lo + hi)
-            if left(project(at(mid))):
+            if left(at(mid)):
                 hi = mid
             else:
                 lo = mid
-        if abs(project(at(hi))[0]) < 1.0:
+        if abs(at(hi)[0]) < 1.0:
             hi = lo  # past a fold f1 = 0 has no root nearby: exit before it
-        t_ev, s = hi, project(at(hi))
-        rec.emit_through(t_ev, lambda: projected(at), "sliding")
+        t_ev, s = hi, at(hi)
+        rec.emit_through(t_ev, lambda: at, "sliding")
         break
     else:  # t_end reached without an exit
-        rec.emit_through(t_end, dense, "sliding")
+        rec.emit_through(t_end, interpolant, "sliding")
         lam, x2, x3 = stepper.x
         traj.append(t_end, (0.0, x2, x3), "sliding", lam)
         return stepper.t, (0.0, x2, x3), lam, None, None

@@ -45,13 +45,9 @@ def integrate_smooth(field: Callable, x0, t_end: float,
     traj.append(0.0, stepper.x, _free_mode(stepper.x[0]), None)
     emit = _Recorder(traj, opts.dense_output_stride).emit_through
     step_to, interpolant = stepper.step_to, stepper.interpolant
-
-    def dense():
-        return interpolant().each
-
     while stepper.t < t_end:
         step_to(t_end)
-        emit(stepper.t, dense)
+        emit(stepper.t, interpolant)
     traj.append(t_end, stepper.x, _free_mode(stepper.x[0]), None)
     return traj
 

@@ -594,9 +594,13 @@ class TestRecorder:
              project=None):
         """(batched, reference) trajectories after one emit_through."""
         at = hermite(*self.STEP)
-        state_at = at if project is None else (lambda t: project(at(t)))
-        batch_of = (at.each if project is None
-                    else (lambda ts: [project(s) for s in at.each(ts)]))
+        if project is not None:
+            raw = at
+
+            def at(t):
+                return project(raw(t))
+
+            at.each = lambda ts: [project(s) for s in raw.each(ts)]
         out = []
         for batched in (True, False):
             traj = pf.Trajectory()
@@ -604,10 +608,10 @@ class TestRecorder:
             if batched:
                 rec = _Recorder(traj, stride)
                 rec.k = k
-                rec.emit_through(t_hi, lambda: batch_of, mode)
+                rec.emit_through(t_hi, lambda: at, mode)
                 next_k = rec.k
             else:
-                next_k = per_sample_emit(traj, k, stride, t_hi, state_at, mode)
+                next_k = per_sample_emit(traj, k, stride, t_hi, at, mode)
             out.append((traj, next_k))
         return out
 
@@ -659,7 +663,7 @@ class TestRecorder:
     def test_earlier_first_sample_raises(self):
         # the first stride sample, 0.1, precedes the trajectory's last, 0.5
         at = hermite(*self.STEP)
-        for emit in (lambda traj: _Recorder(traj, 0.1).emit_through(1.0, lambda: at.each),
+        for emit in (lambda traj: _Recorder(traj, 0.1).emit_through(1.0, lambda: at),
                      lambda traj: per_sample_emit(traj, 1, 0.1, 1.0, at)):
             traj = pf.Trajectory()
             traj.append(0.5, (0.0, 0.0, 0.0), "free+", None)
