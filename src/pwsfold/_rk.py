@@ -69,10 +69,15 @@ def hermite(t0, x0, f0, t1, x1, f1):
                 a3 + th * (b3 + th * (c3 + th * e3)))
 
     def each(ts):
-        return [(a1 + th * (b1 + th * (c1 + th * e1)),
-                 a2 + th * (b2 + th * (c2 + th * e2)),
-                 a3 + th * (b3 + th * (c3 + th * e3)))
-                for th in [(t - t0) / h for t in ts]]
+        # a loop, not a comprehension: before Python 3.12 a comprehension
+        # costs a function call, and many steps carry one or two samples
+        out = []
+        for t in ts:
+            th = (t - t0) / h
+            out.append((a1 + th * (b1 + th * (c1 + th * e1)),
+                        a2 + th * (b2 + th * (c2 + th * e2)),
+                        a3 + th * (b3 + th * (c3 + th * e3))))
+        return out
 
     at.each = each
     return at
