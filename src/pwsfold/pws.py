@@ -215,10 +215,11 @@ def sliding_lambdas(sys: PiecewiseSystem, x2: float, x3: float) -> list[float]:
     form, with the coefficients a = (f1(1) + f1(-1))/2 - f1(0),
     b = (f1(1) - f1(-1))/2 and c = f1(0) formed from three evaluations of
     f1; otherwise from a sign-change scan over 64 subintervals followed by a
-    secant/bisection polish to residual 1e-12. A subinterval whose end
-    values share a sign but whose df1/dlambda changes sign may still hold a
-    close pair of roots: its extremum is polished as a root of df1/dlambda,
-    and where f1 changes sign there both halves are polished.
+    secant/bisection polish to residual 1e-12, or a bisection where that
+    polish stalls. A subinterval whose end values share a sign but whose
+    df1/dlambda changes sign may still hold a close pair of roots: its
+    extremum is bisected as a root of df1/dlambda, and where f1 changes
+    sign there both halves are bisected.
     critical_manifold and the sliding legs find their roots here.
     """
     f1 = sys.f1
@@ -252,8 +253,10 @@ def sliding_lambdas(sys: PiecewiseSystem, x2: float, x3: float) -> list[float]:
             roots.append(lo)
             continue
         if flo * fhi < 0.0:
-            roots.append(polish_bracketed_root(g, lo, hi, flo, fhi,
-                                               residual_tol=1e-12))
+            r = polish_bracketed_root(g, lo, hi, flo, fhi, residual_tol=1e-12)
+            if abs(g(r)) > 1e-12:  # secant steps stall beside a flat extremum
+                r = bisect_root(g, lo, hi, flo)
+            roots.append(r)
         elif slopes[i] * slopes[i + 1] < 0.0:
             mid = bisect_root(dg, lo, hi, slopes[i], residual_tol=0.0)
             fmid = g(mid)

@@ -171,6 +171,21 @@ class TestSlidingLambdas:
         if below == 1e-4:
             assert roots == pytest.approx([-0.58493, -0.56974], abs=1e-5)
 
+    @pytest.mark.parametrize("x2", [1e-6, 1e-10])
+    def test_scan_root_beside_a_flat_extremum_on_a_node(self, x2):
+        # f1 = x2 - (1 - lambda^2) lambda^2 has its maximum x2 at the scan
+        # node 0 and roots near +-sqrt(x2); secant steps from that node
+        # once stalled, returning +-0.016 with |f1| = 2.6e-4
+        sys = pf.PiecewiseSystem.from_strings(("x2", "1", "0"), ("x2", "1", "0"),
+                                              ("-lambda^2", "0", "0"))
+        roots = pf.sliding_lambdas(sys, x2, 0.0)
+        assert len(roots) == 4
+        # |f1| <= 1e-12 puts lambda within 1e-12 / (2 sqrt(x2)) of the root
+        assert roots[1:3] == pytest.approx([-math.sqrt(x2), math.sqrt(x2)],
+                                           rel=1e-2)
+        for r in roots:
+            assert abs(sys.f1(0.0, x2, 0.0, r)) <= 1e-12
+
     def test_scan_skips_a_slope_it_cannot_evaluate(self):
         # f1 = (1 - lambda^2)(|lambda| - 0.5); its lambda-partial holds
         # lambda/|lambda|, which divides by zero at the node 0
