@@ -223,11 +223,28 @@ def parse_expression(text: str) -> Expression:
     return node
 
 
+# --- recursive walks --------------------------------------------------------
+
+
+def _walk(walker: Callable, e: Expression, *args):
+    """walker(e, *args) for a recursive walker of the tree: one too deep for
+    Python's recursion limit (a long sum nests one level per term) raises
+    ValidationError."""
+    try:
+        return walker(e, *args)
+    except RecursionError as exc:
+        raise ValidationError(f"expression too deeply nested to walk ({exc})") from exc
+
+
 # --- printing ---------------------------------------------------------------
 
 
 def to_text(e: Expression) -> str:
     """Canonical fully parenthesized form; round-trips through the parser."""
+    return _walk(_text, e)
+
+
+def _text(e: Expression) -> str:
     if isinstance(e, Const):
         # negative literals need parentheses: -a^n parses as -(a^n)
         if math.copysign(1.0, e.value) < 0:
@@ -236,13 +253,13 @@ def to_text(e: Expression) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):
-        return f"(-{to_text(e.arg)})"
+        return f"(-{_text(e.arg)})"
     if isinstance(e, BinOp):
-        return f"({to_text(e.left)} {e.op} {to_text(e.right)})"
+        return f"({_text(e.left)} {e.op} {_text(e.right)})"
     if isinstance(e, Pow):
-        return f"({to_text(e.base)}^{e.exponent})"
+        return f"({_text(e.base)}^{e.exponent})"
     if isinstance(e, Call):
-        return f"{e.func}({to_text(e.arg)})"
+        return f"{e.func}({_text(e.arg)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -253,7 +270,7 @@ def evaluate(e: Expression, x1: float, x2: float, x3: float, lam: float) -> floa
     for name, v in (("x1", x1), ("x2", x2), ("x3", x3), ("lambda", lam)):
         if not math.isfinite(v):
             raise EvaluationError(f"binding for {name} is not finite: {v!r}")
-    value = _eval(e, x1, x2, x3, lam)
+    value = _walk(_eval, e, x1, x2, x3, lam)
     if not math.isfinite(value):
         raise EvaluationError(f"expression evaluated to {value!r}")
     return value
@@ -349,7 +366,7 @@ def differentiate(e: Expression, var: str) -> Expression:
     """Exact symbolic partial derivative with respect to one variable."""
     if var not in VARIABLES:
         raise ValueError(f"unknown variable {var!r}; expected one of {VARIABLES}")
-    return _diff(e, var)
+    return _walk(_diff, e, var)
 
 
 def _diff(e: Expression, var: str) -> Expression:
@@ -389,15 +406,19 @@ def _diff(e: Expression, var: str) -> Expression:
 
 def polynomial_degree(e: Expression, var: str) -> int | None:
     """Degree of e as a polynomial in var, or None if not polynomial in var."""
+    return _walk(_degree, e, var)
+
+
+def _degree(e: Expression, var: str) -> int | None:
     if isinstance(e, Const):
         return 0
     if isinstance(e, Var):
         return 1 if e.name == var else 0
     if isinstance(e, Neg):
-        return polynomial_degree(e.arg, var)
+        return _degree(e.arg, var)
     if isinstance(e, BinOp):
-        dl = polynomial_degree(e.left, var)
-        dr = polynomial_degree(e.right, var)
+        dl = _degree(e.left, var)
+        dr = _degree(e.right, var)
         if dl is None or dr is None:
             return None
         if e.op in ("+", "-"):
@@ -406,14 +427,14 @@ def polynomial_degree(e: Expression, var: str) -> int | None:
             return dl + dr
         return dl if dr == 0 else None
     if isinstance(e, Pow):
-        db = polynomial_degree(e.base, var)
+        db = _degree(e.base, var)
         if db is None:
             return None
         if db == 0:
             return 0
         return db * e.exponent if e.exponent >= 0 else None
     if isinstance(e, Call):
-        da = polynomial_degree(e.arg, var)
+        da = _degree(e.arg, var)
         return 0 if da == 0 else None
     raise TypeError(f"not an expression node: {e!r}")
 

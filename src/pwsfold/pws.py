@@ -28,7 +28,7 @@ from . import expr as ex
 from .exceptions import (EvaluationError, EventLimitError, SlidingResidualError,
                          StepUnderflowError)
 from ._rk import Dopri3
-from .roots import bisect_root, polish_bracketed_root, real_quadratic_roots
+from .roots import polish_bracketed_root, real_quadratic_roots
 
 __all__ = [
     "PiecewiseSystem", "SurfaceMode", "Trajectory", "IntegratorOptions",
@@ -214,12 +214,13 @@ def sliding_lambdas(sys: PiecewiseSystem, x2: float, x3: float) -> list[float]:
     When f1 is (at most) quadratic in lambda the roots come from the closed
     form, with the coefficients a = (f1(1) + f1(-1))/2 - f1(0),
     b = (f1(1) - f1(-1))/2 and c = f1(0) formed from three evaluations of
-    f1; otherwise from a sign-change scan over 64 subintervals followed by a
-    secant/bisection polish to residual 1e-12, or a bisection where that
-    polish stalls. A subinterval whose end values share a sign but whose
-    df1/dlambda changes sign may still hold a close pair of roots: its
-    extremum is bisected as a root of df1/dlambda, and where f1 changes
-    sign there both halves are bisected.
+    f1. Otherwise f1 and df1/dlambda are evaluated at the 65 nodes of a
+    scan of 64 subintervals. A subinterval where df1/dlambda changes sign
+    is split at the extremum of f1 there, found by polish_bracketed_root on
+    df1/dlambda, so that each piece is monotone if the subinterval holds at
+    most one extremum. The roots are the nodes and extrema where f1 is 0,
+    and one polish_bracketed_root of f1 to residual 1e-12 in each piece
+    whose end values have opposite signs. Roots within 1e-9 are merged.
     critical_manifold and the sliding legs find their roots here.
     """
     f1 = sys.f1
@@ -246,27 +247,19 @@ def sliding_lambdas(sys: PiecewiseSystem, x2: float, x3: float) -> list[float]:
     nodes = [-1.0 + 2.0 * i / _N_SCAN for i in range(_N_SCAN + 1)]
     vals = [g(u) for u in nodes]
     slopes = [dg(u) for u in nodes]
-    roots: list[float] = []
-    for i in range(_N_SCAN):
-        lo, hi, flo, fhi = nodes[i], nodes[i + 1], vals[i], vals[i + 1]
-        if flo == 0.0:
-            roots.append(lo)
-            continue
-        if flo * fhi < 0.0:
-            r = polish_bracketed_root(g, lo, hi, flo, fhi, residual_tol=1e-12)
-            if abs(g(r)) > 1e-12:  # secant steps stall beside a flat extremum
-                r = bisect_root(g, lo, hi, flo)
-            roots.append(r)
-        elif slopes[i] * slopes[i + 1] < 0.0:
-            mid = bisect_root(dg, lo, hi, slopes[i], residual_tol=0.0)
+    roots = [u for u, v in zip(nodes, vals) if v == 0.0]
+    for lo, hi, flo, fhi, a, b in zip(nodes, nodes[1:], vals, vals[1:],
+                                      slopes, slopes[1:]):
+        if a < 0.0 < b or b < 0.0 < a:  # a NaN slope never splits
+            mid = polish_bracketed_root(dg, lo, hi, a, b, residual_tol=0.0)
             fmid = g(mid)
-            if abs(fmid) <= 1e-12:
+            if fmid == 0.0:
                 roots.append(mid)
-            elif flo * fmid < 0.0:
-                roots.append(bisect_root(g, lo, mid, flo))
-                roots.append(bisect_root(g, mid, hi, fmid))
-    if vals[-1] == 0.0:
-        roots.append(1.0)
+            if flo < 0.0 < fmid or fmid < 0.0 < flo:
+                roots.append(polish_bracketed_root(g, lo, mid, flo, fmid))
+            lo, flo = mid, fmid
+        if flo < 0.0 < fhi or fhi < 0.0 < flo:
+            roots.append(polish_bracketed_root(g, lo, hi, flo, fhi))
     out: list[float] = []
     for r in sorted(roots):
         if not out or abs(r - out[-1]) > 1e-9:
@@ -356,14 +349,15 @@ class Trajectory:
 class IntegratorOptions:
     """Tolerances, budgets and dense output for both integrators.
 
-    dense_output_stride (the spacing of dense samples) must be positive
-    and finite, and a run makes at most MAX_SAMPLES of them. layer_eps, when
-    set, must be positive and finite too; it has no effect and stays only
-    for callers that still pass it. max_events acts in event-driven runs
-    only. max_steps bounds the Runge-Kutta attempts of a smooth run,
-    or of one leg of an event-driven run with its event-location
-    re-advances. The event-driven integrator's surface and residual
-    tolerances are the module constants SURFACE_TOL and RESIDUAL_TOL.
+    rel_tol and abs_tol must be positive and finite, and so must
+    dense_output_stride (the spacing of dense samples); a run makes at most
+    MAX_SAMPLES dense samples. layer_eps, when set, must be positive and
+    finite too; it has no effect and stays only for callers that still pass
+    it. max_events, at least 0, acts in event-driven runs only. max_steps
+    bounds the Runge-Kutta attempts of a smooth run, or of one leg of an
+    event-driven run with its event-location re-advances. The event-driven
+    integrator's surface and residual tolerances are the module constants
+    SURFACE_TOL and RESIDUAL_TOL.
     """
 
     rel_tol: float = 1e-8
@@ -374,10 +368,12 @@ class IntegratorOptions:
     max_events: int = 10_000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
+        if self.max_events < 0:
+            raise ValueError("max_events must be at least 0")
         if not 0.0 < self.dense_output_stride < math.inf:
             raise ValueError("dense_output_stride must be positive and finite")
         if self.layer_eps is not None and not 0.0 < self.layer_eps < math.inf:

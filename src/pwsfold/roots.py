@@ -1,12 +1,13 @@
-"""Small real root-finding utilities."""
+"""Small real root-finding utilities: the quadratic closed form, and one
+bracketed solver for every sign change (Illinois false position)."""
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["real_quadratic_roots", "polish_bracketed_root", "bisect_root"]
+__all__ = ["real_quadratic_roots", "polish_bracketed_root"]
 
-_MAX_ITER = 200  # secant/bisection iterations of polish_bracketed_root
+_MAX_ITER = 200  # Illinois iterations of polish_bracketed_root
 
 
 def real_quadratic_roots(a: float, b: float, c: float) -> tuple[float, ...]:
@@ -36,53 +37,45 @@ def real_quadratic_roots(a: float, b: float, c: float) -> tuple[float, ...]:
 
 def polish_bracketed_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
                           *, residual_tol: float = 1e-12) -> float:
-    """Refine a sign-change bracket with a secant/bisection hybrid.
+    """Refine a sign-change bracket with Illinois false-position steps.
 
-    Stops when |f| <= residual_tol, the bracket width reaches machine
-    resolution, or after 200 iterations. The bracket must satisfy
-    f_lo * f_hi <= 0.
+    Each step takes the secant point of the bracket's ends, or the midpoint
+    where that point is not strictly inside. Plain false position keeps one
+    end fixed wherever f is flat beside it, as next to an extremum, and its
+    steps then stall; so when the same end survives two steps in a row its
+    stored value is halved (Dowell & Jarratt, BIT 11, 1971), which gives
+    superlinear convergence with both ends moving. Sides are decided by
+    comparing signs: a halved subnormal reaches 0.0, and a product of two
+    tiny values underflows. Stops when |f| <= residual_tol, the bracket
+    width reaches machine resolution, or after 200 iterations, at the
+    bracket's midpoint. f_lo and f_hi must not share a sign.
     """
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
-    if f_lo * f_hi > 0.0:
+    if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
         raise ValueError("bracket does not straddle a sign change")
+    lo_negative = f_lo < 0.0
+    kept = 0  # the end the last step kept: -1 lo, 1 hi
     for _ in range(_MAX_ITER):
-        if f_hi != f_lo:
-            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        else:
-            x = 0.5 * (lo + hi)
-        if not (lo < x < hi):
+        # the ends' stored values never share a sign, so never cancel
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
             x = 0.5 * (lo + hi)
         fx = f(x)
         if abs(fx) <= residual_tol:
             return x
-        if f_lo * fx < 0.0:
-            hi, f_hi = x, fx
-        else:
+        if (fx < 0.0) == lo_negative:
             lo, f_lo = x, fx
-        if hi - lo <= math.ulp(max(abs(lo), abs(hi), 1.0)):
-            return 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
-
-
-def bisect_root(f, lo: float, hi: float, f_lo: float, *,
-                residual_tol: float = 1e-12) -> float:
-    """Halve a sign-change bracket (f_lo * f(hi) < 0) until |f| <=
-    residual_tol or the bracket width reaches machine resolution.
-
-    Slower than polish_bracketed_root, whose secant steps stall where f is
-    flat, as beside an extremum of f between two close roots.
-    """
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return mid
-        f_mid = f(mid)
-        if abs(f_mid) <= residual_tol:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
         else:
-            lo, f_lo = mid, f_mid
+            hi, f_hi = x, fx
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+        if hi - lo <= math.ulp(max(abs(lo), abs(hi), 1.0)):
+            break
+    return 0.5 * (lo + hi)

@@ -78,7 +78,8 @@ class TestClassify:
         assert "normal_form" in capsys.readouterr().err
 
     def test_schema_validation(self, capsys):
-        schema = json.load(open(SCHEMA_PATH))
+        with open(SCHEMA_PATH) as fh:
+            schema = json.load(fh)
         for name in ("invisible_db.json", "visible_db.json", "mixed_db.json"):
             assert run(["classify", bundled(name)]) == 0
             report = json.loads(capsys.readouterr().out)
@@ -400,6 +401,23 @@ class TestDeepExpressions:
         assert run(["simulate", path, "--mode", "pws", "--t-end", "1",
                     "--x0", "1,0,0", "--out", str(tmp_path / "out.csv")]) == 2
         assert "too deeply nested to compile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("terms, code", [(1200, 2), (150, 0)])
+    def test_long_sum_in_f1(self, tmp_path, capsys, terms, code):
+        # the parser builds a long sum without recursing; printing,
+        # differentiating and the degree walk recurse once per term, past
+        # Python's recursion limit at 1,200 terms
+        path = write_json(tmp_path, "sum.json", {
+            "fplus": ["+".join(["x2"] * terms), "1", "0"],
+            "fminus": ["1", "0", "0"]})
+        argvs = [["show", path], ["manifold", path, "--x2=-1:1:3", "--x3=-1:1:3"]]
+        if code == 0:
+            argvs.append(["simulate", path, "--mode", "pws", "--t-end", "1",
+                          "--x0", "1,0,0", "--out", str(tmp_path / "out.csv")])
+        for argv in argvs:
+            assert run(argv) == code
+            err = capsys.readouterr().err
+            assert ("too deeply nested" in err) == (code == 2)
 
 
 class TestShow:

@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import pwsfold as pf
 from pwsfold import expr as ex
@@ -196,6 +196,48 @@ class TestSlidingLambdas:
             sys.f1_dlambda(0.0, 0.0, 0.0, 0.0)
         roots = pf.sliding_lambdas(sys, 0.0, 0.0)
         assert roots == pytest.approx([-1.0, -0.5, 0.5, 1.0], abs=1e-12)
+
+    @pytest.mark.parametrize("hidden, expected", [
+        # f1 = (1 - lambda^2) lambda (lambda - 1/64): the root on the node 0
+        # once ended its subinterval's search, which missed 1/64
+        ("lambda*(lambda - 1/64)", [-1.0, 0.0, 1.0 / 64.0, 1.0]),
+        # |f1| <= 1e-12 all around the node 0, so the polish of [-1/32, 0]
+        # once returned a point there instead of -1/64
+        ("(lambda - 1e-13)*(lambda + 1/64)", [-1.0, -1.0 / 64.0, 1e-13, 1.0]),
+    ])
+    def test_scan_finds_each_root_beside_a_node_root(self, hidden, expected):
+        sys = pf.PiecewiseSystem.from_strings(("0", "0", "0"), ("0", "0", "0"),
+                                              (hidden, "0", "0"))
+        assert sys.lambda_degree == 4
+        roots = pf.sliding_lambdas(sys, 0.0, 0.0)
+        assert roots == pytest.approx(expected, abs=1e-9)
+        for r in roots:
+            assert abs(sys.f1(0.0, 0.0, 0.0, r)) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-0.95, 0.95), min_size=2, max_size=4),
+           st.floats(0.25, 4.0), st.sampled_from((1.0, -1.0)))
+    def test_scan_finds_every_simple_root(self, inner, scale, sign):
+        # f1 = (1 - lambda^2) c prod(lambda - r_i): its roots in [-1, 1] are
+        # exactly -1, each r_i and 1
+        expected = sorted([-1.0, 1.0] + inner)
+        assume(all(b - a >= 1e-3 for a, b in zip(expected, expected[1:])))
+        hidden = "*".join([repr(scale * sign)] + [f"(lambda - ({r!r}))" for r in inner])
+        sys = pf.PiecewiseSystem.from_strings(("0", "0", "0"), ("0", "0", "0"),
+                                              (hidden, "0", "0"))
+        # the scan resolves one extremum per subinterval, not two
+        grid = [-1.0 + 2.0 * k / 4096 for k in range(4097)]
+        slopes = [sys.f1_dlambda(0.0, 0.0, 0.0, u) for u in grid]
+        for i in range(64):
+            signs = [v > 0.0 for v in slopes[64 * i:64 * (i + 1) + 1] if v != 0.0]
+            assume(sum(a != b for a, b in zip(signs, signs[1:])) <= 1)
+        roots = pf.sliding_lambdas(sys, 0.0, 0.0)
+        assert len(roots) == len(expected)
+        assert roots == sorted(roots)
+        for r in roots:
+            assert abs(sys.f1(0.0, 0.0, 0.0, r)) <= 1e-12
+        for r, want in zip(roots, expected):
+            assert min(expected, key=lambda e: abs(r - e)) == want
 
     def test_attracting_root_exists_where_attracting(self):
         rng = random.Random(5)

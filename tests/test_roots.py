@@ -81,6 +81,20 @@ class TestBracketPolish:
         r = polish_bracketed_root(f, 0.0, 1.0, f(0.0), f(1.0))
         assert abs(f(r)) <= 1e-12
 
+    def test_flat_end(self):
+        # f has its maximum 1e-6 at the end 0; plain false position moved
+        # only the other end, 200 times, and returned 0.016 with
+        # |f| = 2.6e-4
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1e-6 - (1.0 - x * x) * x * x
+
+        r = polish_bracketed_root(f, 0.0, 1.0 / 32.0, 1e-6, f(1.0 / 32.0))
+        assert abs(f(r)) <= 1e-12
+        assert len(calls) <= 20
+
     def test_invalid_bracket(self):
         f = lambda x: x + 1.0
         with pytest.raises(ValueError):

@@ -39,11 +39,17 @@ class TestIntegrateSmooth:
         with pytest.raises(pf.StepBudgetError):
             integrate_smooth(decay_field, (1.0, 1.0, 1.0), 10.0, opts)
 
-    def test_rejects_bad_options(self):
+    @pytest.mark.parametrize("bad", [
+        {"rel_tol": 0.0}, {"max_steps": 0},
+        # a NaN tolerance failed later as StepUnderflowError at t = 0, and
+        # an infinite one passed every trial step
+        {"rel_tol": math.nan}, {"abs_tol": math.nan},
+        {"rel_tol": math.inf}, {"abs_tol": math.inf},
+        {"max_events": -1},
+    ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+    def test_rejects_bad_options(self, bad):
         with pytest.raises(ValueError):
-            IntegratorOptions(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            IntegratorOptions(max_steps=0)
+            IntegratorOptions(**bad)
 
     @pytest.mark.parametrize("stride", [0.0, -0.01, math.nan, math.inf])
     def test_rejects_bad_stride(self, stride):
