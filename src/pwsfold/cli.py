@@ -70,7 +70,7 @@ def load_system_file(path: str) -> SystemFile:
         try:
             params = TwoFoldParams(int(vals["a1"]), int(vals["a2"]),
                                    float(vals["b1"]), float(vals["b2"]), float(alpha))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # an integer too large for a float
             raise _fail(path, f"normal_form: {exc}") from exc
         return SystemFile(build_normal_form(params), params)
 
@@ -108,6 +108,8 @@ def _parse_grid(spec: str, flag: str) -> tuple[float, float, int]:
         raise ValidationError(f"{flag}: {exc}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError(f"{flag}: LO and HI must be finite, got {spec!r}")
+    if not math.isfinite(hi - lo):
+        raise ValidationError(f"{flag}: HI - LO must be finite, got {spec!r}")
     if n < 1:
         raise ValidationError(f"{flag}: COUNT must be at least 1")
     return lo, hi, n

@@ -61,8 +61,9 @@ class PiecewiseSystem:
     Every compiled quantity of the critical manifold
     S = {f1(0, x2, x3; lambda) = 0} comes from combined_expressions: f1,
     its lambda-partial f1_dlambda (zero on S's fold curve), its gradient
-    f1_gradient, and the reduced flow _sliding_field built from these.
-    Each compiles once, on first use.
+    f1_gradient, its lambda-coefficients f1_lambda_coefficients where f1 is
+    at most quadratic in lambda, and the reduced flow _sliding_field built
+    from these. Each compiles once, on first use.
     """
 
     fplus: tuple[ex.Expression, ex.Expression, ex.Expression]
@@ -113,6 +114,29 @@ class PiecewiseSystem:
         """Compiled partial of the combined f1 with respect to lambda."""
         return ex.compile_expression(
             ex.differentiate(self.combined_expressions[0], "lambda"))
+
+    @cached_property
+    def f1_lambda_coefficients(self):
+        """Compiled (t, (x1, x2, x3)) -> (a, b, c) with
+        f1 = a lambda^2 + b lambda + c, as an integrator field; None where
+        lambda_degree is None or above 2.
+
+        With v0, vp and vm the values of f1 at lambda = 0, 1 and -1, taken
+        in that order from f1's own source, a = 0.5 (vp + vm) - v0,
+        b = 0.5 (vp - vm) and c = v0. Called with x1 = 0 the values are
+        bit-equal to those of three f1 calls, and an error of f1 is raised
+        raw at the same lambda.
+        """
+        if self.lambda_degree is None or self.lambda_degree > 2:
+            return None
+        source = ex._walk(ex._py_source, self.combined_expressions[0])
+        v0, vp, vm = ex.Var("_v0"), ex.Var("_vp"), ex.Var("_vm")
+        half = ex.Const(0.5)
+        return ex.compile_field(
+            (ex.BinOp("-", ex.BinOp("*", half, ex.BinOp("+", vp, vm)), v0),
+             ex.BinOp("*", half, ex.BinOp("-", vp, vm)), v0),
+            (("lam", "0.0"), ("_v0", source), ("lam", "1.0"), ("_vp", source),
+             ("lam", "-1.0"), ("_vm", source)))
 
     @cached_property
     def f1_gradient(self):
@@ -208,31 +232,36 @@ def classify_surface_point(sys: PiecewiseSystem, x) -> SurfaceMode:
     return SurfaceMode.CROSSING
 
 
+def _unit_roots(a: float, b: float, c: float) -> list[float]:
+    """Roots of a lambda^2 + b lambda + c = 0 within 1e-12 of [-1, 1],
+    ascending, clamped to [-1, 1]."""
+    out = []
+    for r in real_quadratic_roots(a, b, c):
+        if -1.0 - 1e-12 <= r <= 1.0 + 1e-12:
+            # ascending roots stay ascending under the clamp
+            out.append(1.0 if r > 1.0 else -1.0 if r < -1.0 else r)
+    return out
+
+
 def sliding_lambdas(sys: PiecewiseSystem, x2: float, x3: float) -> list[float]:
     """All roots lambda in [-1, 1] of f1(0, x2, x3; lambda) = 0, ascending.
 
-    When f1 is (at most) quadratic in lambda the roots come from the closed
-    form, with the coefficients a = (f1(1) + f1(-1))/2 - f1(0),
-    b = (f1(1) - f1(-1))/2 and c = f1(0) formed from three evaluations of
-    f1. Otherwise f1 and df1/dlambda are evaluated at the 65 nodes of a
-    scan of 64 subintervals. A subinterval where df1/dlambda changes sign
-    is split at the extremum of f1 there, found by polish_bracketed_root on
-    df1/dlambda, so that each piece is monotone if the subinterval holds at
-    most one extremum. The roots are the nodes and extrema where f1 is 0,
-    and one polish_bracketed_root of f1 to residual 1e-12 in each piece
-    whose end values have opposite signs. Roots within 1e-9 are merged.
-    critical_manifold and the sliding legs find their roots here.
+    When f1 is at most quadratic in lambda the roots are the closed
+    form's, through _unit_roots, of the coefficients a, b, c that one
+    f1_lambda_coefficients call returns. Otherwise f1 and df1/dlambda are
+    evaluated at the 65 nodes of a scan of 64 subintervals. A subinterval
+    where df1/dlambda changes sign is split at the extremum of f1 there,
+    found by polish_bracketed_root on df1/dlambda, so that each piece is
+    monotone if the subinterval holds at most one extremum. The roots are
+    the nodes and extrema where f1 is 0, and one polish_bracketed_root of
+    f1 to residual 1e-12 in each piece whose end values have opposite
+    signs. Roots within 1e-9 are merged. The sliding legs find their roots
+    here, and so does critical_manifold beyond the quadratic case.
     """
+    coefficients = sys.f1_lambda_coefficients
+    if coefficients is not None:
+        return _unit_roots(*coefficients(0.0, (0.0, x2, x3)))
     f1 = sys.f1
-    deg = sys.lambda_degree
-    if deg is not None and deg <= 2:
-        v0 = f1(0.0, x2, x3, 0.0)
-        vp = f1(0.0, x2, x3, 1.0)
-        vm = f1(0.0, x2, x3, -1.0)
-        # ascending roots stay ascending under the clamp
-        return [min(1.0, max(-1.0, r))
-                for r in real_quadratic_roots(0.5 * (vp + vm) - v0, 0.5 * (vp - vm), v0)
-                if -1.0 - 1e-12 <= r <= 1.0 + 1e-12]
 
     def g(lam: float) -> float:
         return f1(0.0, x2, x3, lam)

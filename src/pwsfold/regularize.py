@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from . import expr as ex
 from .exceptions import NonHyperbolicPointError
-from .pws import (MAX_SAMPLES, PiecewiseSystem, _check_lambda, combination,
-                  sliding_lambdas)
+from .pws import (MAX_SAMPLES, PiecewiseSystem, _check_lambda, _unit_roots,
+                  combination, sliding_lambdas)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .twofold import TwoFoldParams
@@ -195,21 +195,27 @@ def critical_manifold(sys: PiecewiseSystem, x2_values: Sequence[float],
     """Sample the sliding manifold over a rectangular (x2, x3) grid.
 
     x2 runs in the outer loop and x3 in the inner one; at each grid point
-    the roots of sliding_lambdas follow in ascending order. A root is
-    non-hyperbolic where |df1/dlambda| < 1e-9, else attracting where
-    df1/dlambda < 0 and repelling where it is positive (or NaN).
+    the roots lambda follow in ascending order. Where f1 is at most
+    quadratic in lambda they are the closed form's, from one
+    f1_lambda_coefficients call per grid point; otherwise sliding_lambdas
+    scans for them. A root is non-hyperbolic where |df1/dlambda| < 1e-9,
+    else attracting where df1/dlambda < 0 and repelling where it is
+    positive (or NaN).
     """
-    solve, slope = sliding_lambdas, sys.f1_dlambda
+    coefficients, roots = sys.f1_lambda_coefficients, _unit_roots
+    closed_form = coefficients is not None
+    solve, slope, make = sliding_lambdas, sys.f1_dlambda, CriticalPoint._make
     attracting, repelling = Stability.ATTRACTING, Stability.REPELLING
     non_hyperbolic = Stability.NON_HYPERBOLIC
     points = []
+    append = points.append
     for x2 in x2_values:
         for x3 in x3_values:
-            for lam in solve(sys, x2, x3):
+            for lam in (roots(*coefficients(0.0, (0.0, x2, x3))) if closed_form
+                        else solve(sys, x2, x3)):
                 d = slope(0.0, x2, x3, lam)
-                points.append(CriticalPoint(
-                    lam, x2, x3, non_hyperbolic if abs(d) < _HYPERBOLICITY_TOL
-                    else attracting if d < 0.0 else repelling))
+                append(make((lam, x2, x3, non_hyperbolic if abs(d) < _HYPERBOLICITY_TOL
+                             else attracting if d < 0.0 else repelling)))
     return points
 
 
@@ -302,7 +308,6 @@ def degeneracy_probe(params: "TwoFoldParams", s: Sigmoid,
 
 # the CSV number format: enough digits to read the float back exactly
 _NUM = ".17g"
-_LABELS = {s: s.value for s in Stability}
 
 
 def critical_manifold_csv(points: Iterable[CriticalPoint]) -> str:
@@ -322,7 +327,8 @@ def critical_manifold_csv(points: Iterable[CriticalPoint]) -> str:
         s3 = text.get(x3)
         if s3 is None or not x3:
             s3 = text[x3] = f"{x3:{_NUM}}"
-        lines.append(f"{lam:{_NUM}},{s2},{s3},{_LABELS[stability]}")
+        # _value_ is a plain attribute; .value and hashing a member run Python code
+        lines.append(f"{lam:{_NUM}},{s2},{s3},{stability._value_}")
     return "\n".join(lines) + "\n"
 
 

@@ -71,6 +71,16 @@ class TestClassify:
         assert captured.out == ""
         assert path in captured.err and field in captured.err
 
+    @pytest.mark.parametrize("field", ["b1", "alpha"])
+    def test_huge_integer_exit_2(self, tmp_path, capsys, field):
+        # a JSON integer too large for a float raised OverflowError (exit 3)
+        nf = {"a1": 1, "a2": 1, "b1": -2, "b2": -1, "alpha": 0.2, field: 10**400}
+        path = write_json(tmp_path, "huge.json", {"normal_form": nf})
+        assert run(["classify", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert path in captured.err and "normal_form" in captured.err
+
     def test_expression_file_rejected(self, tmp_path, capsys):
         path = write_json(tmp_path, "e.json", {
             "fplus": ["-x2", "1", "-2"], "fminus": ["x3", "-1", "1"]})
@@ -173,6 +183,25 @@ class TestManifold:
         assert run(["manifold", bundled("invisible_db.json"), f"--x2={grid}",
                     "--x3=0:1:3", "--out", str(out)]) == 2
         assert "--x2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_span_exit_2(self, tmp_path, capsys):
+        # finite ends whose difference overflows built the grid [nan, inf, inf]
+        out = tmp_path / "m.csv"
+        assert run(["manifold", bundled("invisible_db.json"), "--x2=-1e308:1e308:3",
+                    "--x3=-1:1:3", "--out", str(out)]) == 2
+        assert "--x2: HI - LO must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("f1, code, error", [
+        ("1/x2", 3, "ZeroDivisionError"), ("sqrt(x2)", 2, "math domain error")])
+    def test_f1_raising_at_a_node(self, tmp_path, capsys, f1, code, error):
+        # f1 quadratic in lambda, raising at the grid node x2 = 0 or -1
+        path = write_json(tmp_path, "raise.json", {
+            "fplus": [f1, "1", "0"], "fminus": ["x3", "0", "1"], "hidden": ["0.2", "0", "0"]})
+        out = tmp_path / "m.csv"
+        assert run(["manifold", path, "--x2=1:-1:3", "--x3=-1:1:3", "--out", str(out)]) == code
+        assert error in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_lcurve_samples_writes_nothing(self, tmp_path, capsys):

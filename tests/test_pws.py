@@ -12,6 +12,7 @@ from pwsfold.cli import load_system_file
 from pwsfold.exceptions import SlidingResidualError, StepUnderflowError
 from pwsfold._rk import hermite
 from pwsfold.pws import PwsOptions, _Recorder, _resolve_tangency
+from pwsfold.roots import real_quadratic_roots
 from pwsfold.twofold import TwoFoldParams, build_normal_form
 
 
@@ -133,6 +134,28 @@ class TestSlidingLambdas:
 
     def test_crossing_region_empty(self):
         assert pf.sliding_lambdas(normal_form(), 1.0, -1.0) == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_closed_form_equals_three_f1_calls(self, seed):
+        # x2 near +-0 puts the normal forms' root lambda = 1 + O(x2) within,
+        # or just past, the 1e-12 clamp tolerance
+        rng = random.Random(seed)
+        systems = BUNDLED + tuple(normal_form(alpha=rng.uniform(-1.0, 1.0)) for _ in range(3)) \
+            + (pf.PiecewiseSystem.from_strings(("x2*x3 - 1", "1", "0"), ("x3 + x2*x2", "0", "1"),
+                                               ("0.3*x2 - x3", "0", "0")),)
+        for sys in systems:
+            assert sys.lambda_degree <= 2
+            f1 = sys.f1
+            for _ in range(300):
+                x2 = rng.choice((rng.uniform(-2.0, 2.0), 0.0, -0.0,
+                                 rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-14.0, -9.0)))
+                x3 = rng.uniform(-2.0, 2.0)
+                v0, vp, vm = f1(0.0, x2, x3, 0.0), f1(0.0, x2, x3, 1.0), f1(0.0, x2, x3, -1.0)
+                want = [min(1.0, max(-1.0, r)) for r in real_quadratic_roots(
+                    0.5 * (vp + vm) - v0, 0.5 * (vp - vm), v0)
+                    if -1.0 - 1e-12 <= r <= 1.0 + 1e-12]
+                got = pf.sliding_lambdas(sys, x2, x3)
+                assert [r.hex() for r in got] == [r.hex() for r in want], (x2, x3)
 
     def test_bracketing_path_nonpolynomial(self):
         # hidden term with tanh(lambda) forces the scanning solver

@@ -9,6 +9,7 @@ from pwsfold import expr as ex, regularize
 from pwsfold.cli import load_system_file
 from pwsfold.exceptions import EvaluationError, NonHyperbolicPointError
 from pwsfold.pws import MAX_SAMPLES
+from pwsfold.roots import real_quadratic_roots
 from pwsfold.regularize import (Stability, builtin_sigmoid, critical_manifold,
                                 critical_manifold_csv, degeneracy_probe,
                                 dummy_field, layer_field, nonhyperbolic_curve,
@@ -167,11 +168,22 @@ class TestCriticalManifold:
 
 
 # (system, x2 grid, x3 grid): closed-form roots with a fold-curve point
-# (0.2, -0.2) at alpha = 0.2, and a hidden term that makes f1 cubic in lambda
-# (the root scan); the grids hold -0.0 right before and right after 0.0.
+# (0.2, -0.2) at alpha = 0.2; alpha = 0, where f1 is linear in lambda; three
+# seeded normal forms on a 100 x 100 grid; and a hidden term that makes f1
+# cubic in lambda (the root scan). Every grid holds -0.0 right before or
+# right after 0.0.
+_GRID_100 = tuple(-1.0 + 2.0 * i / 99 for i in range(50)) + (-0.0, 0.0) \
+    + tuple(-1.0 + 2.0 * i / 99 for i in range(50, 100))
+_SEEDED = random.Random(18)
 SWEEP_CASES = {
     "normal_form": (normal_form(alpha=0.2), (-1.0, -0.0, 0.0, 0.2, 0.5),
                     (-0.2, -0.0, 0.0, 1.0)),
+    "alpha_zero": (normal_form(alpha=0.0), (-1.0, -0.0, 0.0, 0.25, 0.5),
+                   (-0.5, 0.0, -0.0, 0.25, 1.0)),
+    **{f"seeded_{i}": (build_normal_form(TwoFoldParams(
+        _SEEDED.choice((-1, 1)), _SEEDED.choice((-1, 1)), _SEEDED.uniform(-3.0, 3.0),
+        _SEEDED.uniform(-3.0, 3.0), _SEEDED.uniform(-1.0, 1.0))), _GRID_100, _GRID_100)
+       for i in range(3)},
     "lambda_cubic": (pf.PiecewiseSystem.from_strings(
         ("x2 - 1", "1", "0"), ("x3 + 1", "0", "1"), ("0.5*lambda*x2", "0", "0")),
         (-2.0, -0.0, 0.0, 1.5), (-1.5, 0.0, -0.0, 2.0)),
@@ -179,11 +191,23 @@ SWEEP_CASES = {
 
 
 def reference_manifold(sys, x2_values, x3_values):
-    """critical_manifold as a plain loop over sliding_lambdas and f1_dlambda."""
+    """critical_manifold as a plain loop: the closed form of three f1 values
+    per grid point where f1 is at most quadratic in lambda, else
+    sliding_lambdas; then f1_dlambda per root."""
+    quadratic = sys.lambda_degree is not None and sys.lambda_degree <= 2
     points = []
     for x2 in x2_values:
         for x3 in x3_values:
-            for lam in pf.sliding_lambdas(sys, x2, x3):
+            if quadratic:
+                v0 = sys.f1(0.0, x2, x3, 0.0)
+                vp = sys.f1(0.0, x2, x3, 1.0)
+                vm = sys.f1(0.0, x2, x3, -1.0)
+                roots = [min(1.0, max(-1.0, r)) for r in real_quadratic_roots(
+                    0.5 * (vp + vm) - v0, 0.5 * (vp - vm), v0)
+                    if -1.0 - 1e-12 <= r <= 1.0 + 1e-12]
+            else:
+                roots = pf.sliding_lambdas(sys, x2, x3)
+            for lam in roots:
                 slope = sys.f1_dlambda(0.0, x2, x3, lam)
                 if abs(slope) < 1e-9:
                     stability = Stability.NON_HYPERBOLIC
@@ -205,12 +229,34 @@ class TestManifoldSweep:
         # float.hex tells -0.0 from 0.0, which == does not
         assert [(p.lam.hex(), p.x2.hex(), p.x3.hex(), p.stability) for p in got] \
             == [(lam.hex(), x2.hex(), x3.hex(), st) for lam, x2, x3, st in want]
+        assert critical_manifold_csv(got) == "lambda,x2,x3,stability\n" + "".join(
+            f"{lam:.17g},{x2:.17g},{x3:.17g},{st.value}\n" for lam, x2, x3, st in want)
         zeros = {math.copysign(1.0, p.x2) for p in got if p.x2 == 0.0}
         assert zeros == {1.0, -1.0}
         if case == "lambda_cubic":
-            assert sys.lambda_degree == 3
-        else:
+            assert sys.lambda_degree == 3 and sys.f1_lambda_coefficients is None
+        elif case == "alpha_zero":
+            # f1 is linear in lambda: the closed form's a == 0 branch
+            assert all(sys.f1_lambda_coefficients(0.0, (0.0, x2, x3))[0] == 0.0
+                       for x2 in x2s for x3 in x3s)
+        elif case == "normal_form":
             assert Stability.NON_HYPERBOLIC in {p.stability for p in got}
+        else:
+            assert len(got) > 5000
+
+    @pytest.mark.parametrize("f1, error", [("1/x2", ZeroDivisionError),
+                                           ("sqrt(x2)", ValueError)])
+    def test_raises_where_reference_loop_raises(self, f1, error):
+        # f1 quadratic in lambda, raising at the grid node x2 = 0 or -1 only
+        sys = pf.PiecewiseSystem.from_strings((f1, "1", "0"), ("x3", "0", "1"),
+                                              ("0.2", "0", "0"))
+        assert sys.lambda_degree == 2
+        grid = (1.0, 0.0, -1.0)
+        assert reference_manifold(sys, grid[:1], grid)
+        with pytest.raises(error):
+            reference_manifold(sys, grid, grid)
+        with pytest.raises(error):
+            critical_manifold(sys, grid, grid)
 
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
     def test_csv_equals_row_by_row_format(self, case):

@@ -9,7 +9,8 @@ slide into its folded node, and on three starts that reach the tangency and
 no-sliding-root policies (a grazing arrival that slides, one that crosses,
 and a start on the surface where f1 has no root); regularized runs of
 examples i-iii at eps 1e-3 with each built-in sigmoid, and at eps 1e-4 and
-1e-5; a manifold CSV; the CSV of a regularized `examples` run; and the JSON
+1e-5; the manifold CSV, with its non-hyperbolic curve, of each bundled
+normal form; the CSV of a regularized `examples` run; and the JSON
 that the CLI's classify, fit and folded commands write for the bundled
 normal forms; the exit code, standard output and standard error of failing
 CLI calls, one per error path (temporary paths replaced by a fixed token).
@@ -207,11 +208,12 @@ def digests():
 
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
-        manifold = _cli_output(["manifold", _system_path("invisible_db"),
-                                "--x2=-1:1:41", "--x3=-1:1:41"], out)
-        with open(out + ".lcurve.csv", "rb") as fh:
-            manifold += fh.read()
-        yield "cli/manifold/invisible_db", _sha(manifold)
+        for name in NORMAL_FORMS:
+            manifold = _cli_output(["manifold", _system_path(name),
+                                    "--x2=-1:1:41", "--x3=-1:1:41"], out)
+            with open(out + ".lcurve.csv", "rb") as fh:
+                manifold += fh.read()
+            yield f"cli/manifold/{name}", _sha(manifold)
         yield ("cli/examples/iii/eps=1e-3/t=5",
                _sha(_cli_output(["examples", "iii", "--eps", "1e-3", "--t-end", "5"], out)))
         for name in NORMAL_FORMS:
