@@ -9,8 +9,10 @@ slide into its folded node, and on three starts that reach the tangency and
 no-sliding-root policies (a grazing arrival that slides, one that crosses,
 and a start on the surface where f1 has no root); regularized runs of
 examples i-iii at eps 1e-3 with each built-in sigmoid, and at eps 1e-4 and
-1e-5; the manifold CSV, with its non-hyperbolic curve, of each bundled
-normal form; the CSV of a regularized `examples` run; and the JSON
+1e-5; the manifold CSV, with its non-hyperbolic curve, of a bundled normal
+form and of one with another alpha (the only parameter that shapes a normal
+form's manifold), and the manifold CSV of the lambda-cubic system (the
+root-scan path); the CSV of a regularized `examples` run; and the JSON
 that the CLI's classify, fit and folded commands write for the bundled
 normal forms; the exit code, standard output and standard error of failing
 CLI calls, one per error path (temporary paths replaced by a fixed token).
@@ -116,6 +118,23 @@ def _cli_error(argv, tmp: str) -> bytes:
     return text.replace(tmp, "<tmp>").encode()
 
 
+def _write_json(tmp: str, name: str, doc) -> str:
+    path = os.path.join(tmp, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+def _manifold_files(tmp: str):
+    """Yield (name, path) of the system files whose manifold CSVs are hashed."""
+    yield "invisible_db", _system_path("invisible_db")
+    yield "alpha=0.5", _write_json(tmp, "alpha.json", {"normal_form": {
+        "a1": 1, "a2": 1, "b1": -2, "b2": -1, "alpha": 0.5}})
+    fplus, fminus, hidden = CUBIC_SYSTEM
+    yield "lambda_cubic", _write_json(tmp, "lambda_cubic.json", {
+        "fplus": list(fplus), "fminus": list(fminus), "hidden": list(hidden)})
+
+
 def _error_cases(tmp: str):
     """Yield (name, argv) for one failing CLI call per error path."""
     def write(name, text):
@@ -208,11 +227,13 @@ def digests():
 
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
-        for name in NORMAL_FORMS:
-            manifold = _cli_output(["manifold", _system_path(name),
-                                    "--x2=-1:1:41", "--x3=-1:1:41"], out)
-            with open(out + ".lcurve.csv", "rb") as fh:
-                manifold += fh.read()
+        for name, path in _manifold_files(tmp):
+            out_manifold = os.path.join(tmp, f"manifold-{name}")
+            manifold = _cli_output(["manifold", path, "--x2=-1:1:41", "--x3=-1:1:41"],
+                                   out_manifold)
+            if os.path.exists(out_manifold + ".lcurve.csv"):  # normal forms only
+                with open(out_manifold + ".lcurve.csv", "rb") as fh:
+                    manifold += fh.read()
             yield f"cli/manifold/{name}", _sha(manifold)
         yield ("cli/examples/iii/eps=1e-3/t=5",
                _sha(_cli_output(["examples", "iii", "--eps", "1e-3", "--t-end", "5"], out)))
