@@ -522,7 +522,8 @@ _BINDINGS = {f"_{name}": impl for name, (impl, _) in _FUNCS.items()}
 _PRELUDE = ", ".join(f"{local}={local}" for local in _BINDINGS)
 
 
-def _generate(exprs, binds: tuple[tuple[str, str], ...] | None = None) -> Callable:
+def _generate(exprs,
+              binds: tuple[tuple[str, str | Expression], ...] | None = None) -> Callable:
     """Compile one expression, or a tuple of them, into a Python function.
 
     A tuple compiles to a tuple-valued function. The arguments are
@@ -530,7 +531,9 @@ def _generate(exprs, binds: tuple[tuple[str, str], ...] | None = None) -> Callab
     (t, x) as an integrator field: it unpacks x into x1, x2, x3, then
     assigns each name its source in order (lam among them), and computes
     each repeated subexpression once (_shared_source), as a field called 6
-    times per Runge-Kutta attempt repays. The other functions are compiled
+    times per Runge-Kutta attempt repays. A source given as an expression
+    tree is printed by the plain printer, so no subexpression is shared
+    across binds, which may rebind lam. The other functions are compiled
     often and called a few times each, so they keep the plain printer.
     A tree too deep for the printer or for Python's compiler (about 200
     nested operations) raises ValidationError.
@@ -545,7 +548,8 @@ def _generate(exprs, binds: tuple[tuple[str, str], ...] | None = None) -> Callab
             sources = _shared_source(items)
             head = (f"def _f(t, x, {_PRELUDE}):\n"
                     "    x1, x2, x3 = x\n"
-                    + "".join(f"    {name} = {source}\n" for name, source in binds))
+                    + "".join(f"    {name} = {s if isinstance(s, str) else _py_source(s)}\n"
+                              for name, s in binds))
         if isinstance(exprs, tuple):
             result = "(" + ", ".join(sources) + ")"
         else:

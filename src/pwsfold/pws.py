@@ -22,7 +22,7 @@ import bisect
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import expr as ex
 from .exceptions import (EvaluationError, EventLimitError, SlidingResidualError,
@@ -39,7 +39,9 @@ __all__ = [
 SURFACE_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
 MAX_SAMPLES = 10**7  # bound on t_end / dense_output_stride, the dense samples of a run
-_N_SCAN = 64  # sliding-root scan subintervals for f1 beyond quadratic in lambda
+# nodes of the sliding-root scan, 64 subintervals of [-1, 1], for f1 beyond
+# quadratic in lambda
+_SCAN_NODES = tuple(-1.0 + 2.0 * i / 64 for i in range(65))
 
 _LAM = ex.Var("lambda")
 _HALF_PLUS = ex.BinOp("*", ex.BinOp("+", ex.ONE, _LAM), ex.Const(0.5))
@@ -61,9 +63,8 @@ class PiecewiseSystem:
     Every compiled quantity of the critical manifold
     S = {f1(0, x2, x3; lambda) = 0} comes from combined_expressions: f1,
     its lambda-partial f1_dlambda (zero on S's fold curve), its gradient
-    f1_gradient, its lambda-coefficients f1_lambda_coefficients where f1 is
-    at most quadratic in lambda, and the reduced flow _sliding_field built
-    from these. Each compiles once, on first use.
+    f1_gradient, the root finder _sliding_roots and the reduced flow
+    _sliding_field built from these. Each compiles once, on first use.
     """
 
     fplus: tuple[ex.Expression, ex.Expression, ex.Expression]
@@ -116,29 +117,6 @@ class PiecewiseSystem:
             ex.differentiate(self.combined_expressions[0], "lambda"))
 
     @cached_property
-    def f1_lambda_coefficients(self):
-        """Compiled (t, (x1, x2, x3)) -> (a, b, c) with
-        f1 = a lambda^2 + b lambda + c, as an integrator field; None where
-        lambda_degree is None or above 2.
-
-        With v0, vp and vm the values of f1 at lambda = 0, 1 and -1, taken
-        in that order from f1's own source, a = 0.5 (vp + vm) - v0,
-        b = 0.5 (vp - vm) and c = v0. Called with x1 = 0 the values are
-        bit-equal to those of three f1 calls, and an error of f1 is raised
-        raw at the same lambda.
-        """
-        if self.lambda_degree is None or self.lambda_degree > 2:
-            return None
-        source = ex._walk(ex._py_source, self.combined_expressions[0])
-        v0, vp, vm = ex.Var("_v0"), ex.Var("_vp"), ex.Var("_vm")
-        half = ex.Const(0.5)
-        return ex.compile_field(
-            (ex.BinOp("-", ex.BinOp("*", half, ex.BinOp("+", vp, vm)), v0),
-             ex.BinOp("*", half, ex.BinOp("-", vp, vm)), v0),
-            (("lam", "0.0"), ("_v0", source), ("lam", "1.0"), ("_vp", source),
-             ("lam", "-1.0"), ("_vm", source)))
-
-    @cached_property
     def f1_gradient(self):
         """Compiled partials of the combined f1 with respect to x1, x2, x3.
 
@@ -172,6 +150,40 @@ class PiecewiseSystem:
     @cached_property
     def lambda_degree(self) -> int | None:
         return ex.polynomial_degree(self.combined_expressions[0], "lambda")
+
+    @cached_property
+    def _sliding_roots(self):
+        """(x2, x3) -> the roots lambda in [-1, 1] of f1(0, x2, x3; lambda) = 0,
+        ascending; chosen once from lambda_degree.
+
+        Beyond quadratic in lambda this is _scan_roots. Otherwise one
+        compiled call takes v0, vp and vm, the values of f1 at lambda = 0, 1
+        and -1 in that order from f1's own source (bit-equal to three f1
+        calls, raising f1's raw error at the same lambda), and returns
+        a = 0.5 (vp + vm) - v0, b = 0.5 (vp - vm) and c = v0. The roots of
+        a lambda^2 + b lambda + c within 1e-12 of [-1, 1] are clamped to it.
+        """
+        if self.lambda_degree is None or self.lambda_degree > 2:
+            return partial(_scan_roots, self)
+        f1 = self.combined_expressions[0]
+        v0, vp, vm = ex.Var("_v0"), ex.Var("_vp"), ex.Var("_vm")
+        half = ex.Const(0.5)
+        coefficients = ex.compile_field(
+            (ex.BinOp("-", ex.BinOp("*", half, ex.BinOp("+", vp, vm)), v0),
+             ex.BinOp("*", half, ex.BinOp("-", vp, vm)), v0),
+            (("lam", "0.0"), ("_v0", f1), ("lam", "1.0"), ("_vp", f1),
+             ("lam", "-1.0"), ("_vm", f1)))
+
+        def closed_form(x2: float, x3: float) -> list[float]:
+            out = []
+            # a module global looked up per call: perfbench's tracer patches it
+            for r in real_quadratic_roots(*coefficients(0.0, (0.0, x2, x3))):
+                if -1.0 - 1e-12 <= r <= 1.0 + 1e-12:
+                    # ascending roots stay ascending under the clamp
+                    out.append(1.0 if r > 1.0 else -1.0 if r < -1.0 else r)
+            return out
+
+        return closed_form
 
     @cached_property
     def _branch_fields(self):
@@ -232,35 +244,28 @@ def classify_surface_point(sys: PiecewiseSystem, x) -> SurfaceMode:
     return SurfaceMode.CROSSING
 
 
-def _unit_roots(a: float, b: float, c: float) -> list[float]:
-    """Roots of a lambda^2 + b lambda + c = 0 within 1e-12 of [-1, 1],
-    ascending, clamped to [-1, 1]."""
-    out = []
-    for r in real_quadratic_roots(a, b, c):
-        if -1.0 - 1e-12 <= r <= 1.0 + 1e-12:
-            # ascending roots stay ascending under the clamp
-            out.append(1.0 if r > 1.0 else -1.0 if r < -1.0 else r)
-    return out
-
-
 def sliding_lambdas(sys: PiecewiseSystem, x2: float, x3: float) -> list[float]:
     """All roots lambda in [-1, 1] of f1(0, x2, x3; lambda) = 0, ascending.
 
-    When f1 is at most quadratic in lambda the roots are the closed
-    form's, through _unit_roots, of the coefficients a, b, c that one
-    f1_lambda_coefficients call returns. Otherwise f1 and df1/dlambda are
-    evaluated at the 65 nodes of a scan of 64 subintervals. A subinterval
+    They come from the system's one root finder, PiecewiseSystem
+    ._sliding_roots: the closed form where f1 is at most quadratic in
+    lambda, else _scan_roots. The sliding legs find their roots here;
+    critical_manifold calls the same finder.
+    """
+    return sys._sliding_roots(x2, x3)
+
+
+def _scan_roots(sys: PiecewiseSystem, x2: float, x3: float) -> list[float]:
+    """The roots of f1 beyond quadratic in lambda, found by a scan.
+
+    f1 and df1/dlambda are evaluated at the 65 _SCAN_NODES. A subinterval
     where df1/dlambda changes sign is split at the extremum of f1 there,
     found by polish_bracketed_root on df1/dlambda, so that each piece is
     monotone if the subinterval holds at most one extremum. The roots are
     the nodes and extrema where f1 is 0, and one polish_bracketed_root of
     f1 to residual 1e-12 in each piece whose end values have opposite
-    signs. Roots within 1e-9 are merged. The sliding legs find their roots
-    here, and so does critical_manifold beyond the quadratic case.
+    signs. Roots within 1e-9 are merged.
     """
-    coefficients = sys.f1_lambda_coefficients
-    if coefficients is not None:
-        return _unit_roots(*coefficients(0.0, (0.0, x2, x3)))
     f1 = sys.f1
 
     def g(lam: float) -> float:
@@ -273,7 +278,7 @@ def sliding_lambdas(sys: PiecewiseSystem, x2: float, x3: float) -> list[float]:
         except (ArithmeticError, ValueError):
             return math.nan
 
-    nodes = [-1.0 + 2.0 * i / _N_SCAN for i in range(_N_SCAN + 1)]
+    nodes = _SCAN_NODES
     vals = [g(u) for u in nodes]
     slopes = [dg(u) for u in nodes]
     roots = [u for u, v in zip(nodes, vals) if v == 0.0]

@@ -17,8 +17,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from . import expr as ex
 from .exceptions import NonHyperbolicPointError
-from .pws import (MAX_SAMPLES, PiecewiseSystem, _check_lambda, _unit_roots,
-                  combination, sliding_lambdas)
+from .pws import MAX_SAMPLES, PiecewiseSystem, _check_lambda, combination
 
 if TYPE_CHECKING:  # pragma: no cover
     from .twofold import TwoFoldParams
@@ -195,24 +194,19 @@ def critical_manifold(sys: PiecewiseSystem, x2_values: Sequence[float],
     """Sample the sliding manifold over a rectangular (x2, x3) grid.
 
     x2 runs in the outer loop and x3 in the inner one; at each grid point
-    the roots lambda follow in ascending order. Where f1 is at most
-    quadratic in lambda they are the closed form's, from one
-    f1_lambda_coefficients call per grid point; otherwise sliding_lambdas
-    scans for them. A root is non-hyperbolic where |df1/dlambda| < 1e-9,
-    else attracting where df1/dlambda < 0 and repelling where it is
-    positive (or NaN).
+    the roots lambda follow in ascending order, from the system's one root
+    finder (PiecewiseSystem._sliding_roots, as in sliding_lambdas). A root
+    is non-hyperbolic where |df1/dlambda| < 1e-9, else attracting where
+    df1/dlambda < 0 and repelling where it is positive (or NaN).
     """
-    coefficients, roots = sys.f1_lambda_coefficients, _unit_roots
-    closed_form = coefficients is not None
-    solve, slope, make = sliding_lambdas, sys.f1_dlambda, CriticalPoint._make
+    find, slope, make = sys._sliding_roots, sys.f1_dlambda, CriticalPoint._make
     attracting, repelling = Stability.ATTRACTING, Stability.REPELLING
     non_hyperbolic = Stability.NON_HYPERBOLIC
     points = []
     append = points.append
     for x2 in x2_values:
         for x3 in x3_values:
-            for lam in (roots(*coefficients(0.0, (0.0, x2, x3))) if closed_form
-                        else solve(sys, x2, x3)):
+            for lam in find(x2, x3):
                 d = slope(0.0, x2, x3, lam)
                 append(make((lam, x2, x3, non_hyperbolic if abs(d) < _HYPERBOLICITY_TOL
                              else attracting if d < 0.0 else repelling)))

@@ -253,6 +253,44 @@ class TestManifold:
         assert len(lines) == 2 and lines[1].endswith("attracting")
 
 
+_NF = {"a1": 1, "a2": 1, "b1": -2, "b2": -1}
+_FIELD = ["-1", "0", "0"]
+_GRID = ["--x2=-1:1:3", "--x3=-1:1:3"]
+_PWS = ["--mode", "pws", "--t-end", "1"]
+
+
+class TestInputChecks:
+    # (system file, or None for a bundled one; the flags after FILE; the
+    # flag the message names, or None for the file; the message's start)
+    @pytest.mark.parametrize("doc, flags, flag, message", [
+        ([_NF], _GRID, None, "top level must be an object"),
+        ({"normal_form": [_NF]}, _GRID, None, "normal_form: must be an object"),
+        ({"normal_form": dict(_NF, b2="-1")}, _GRID, None, "normal_form.b2: must be a number"),
+        ({"normal_form": dict(_NF, alpha=True)}, _GRID, None, "normal_form.alpha: must be"),
+        ({"normal_form": dict(_NF, a1=2)}, _GRID, None, "normal_form.a1/a2: must be +1"),
+        ({"fplus": _FIELD}, _GRID, None, "fminus: missing"),
+        ({"fplus": _FIELD[:2], "fminus": _FIELD}, _GRID, None, "fplus: must be an array"),
+        ({"fplus": _FIELD, "fminus": _FIELD, "hidden": ["0", 0, "0"]}, _GRID, None,
+         "hidden[1]: must be a string"),
+        (None, ["--x2=-1:1", "--x3=-1:1:3"], "--x2", "expected LO:HI:COUNT"),
+        (None, ["--x2=-1:1:3", "--x3=-1:1:three"], "--x3", "invalid literal"),
+        (None, _PWS + ["--x0=0.1,0.1"], "--x0", "expected three comma-separated reals"),
+        (None, _PWS + ["--x0=0.1,0.1,zero"], "--x0", "could not convert"),
+    ], ids=["top_level", "normal_form", "number", "alpha", "sign", "missing",
+            "length", "string", "grid_parts", "grid_count", "x0_parts", "x0_value"])
+    def test_exit_2_names_it_and_writes_nothing(self, tmp_path, capsys, doc, flags, flag,
+                                                message):
+        command = "simulate" if flag == "--x0" else "manifold"
+        if doc is None:
+            path = bundled("example_ii.json" if flag == "--x0" else "invisible_db.json")
+        else:
+            path = write_json(tmp_path, "system.json", doc)
+        before = os.listdir(tmp_path)
+        assert run([command, path] + flags + ["--out", str(tmp_path / "out.csv")]) == 2
+        assert f"{flag or path}: {message}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == before
+
+
 class TestSimulate:
     def test_regularized_example_file(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

@@ -237,6 +237,16 @@ class TestSlidingLambdas:
         for r in roots:
             assert abs(sys.f1(0.0, 0.0, 0.0, r)) <= 1e-12
 
+    @pytest.mark.parametrize("c", [0.1, 0.5078125])
+    def test_scan_root_at_an_extremum(self, c):
+        # f1 = (1 - lambda^2)(lambda - c)^2 touches 0 at its minimum c, off
+        # the scan nodes: no piece changes sign, and the extremum found by
+        # the split is the root
+        sys = pf.PiecewiseSystem.from_strings(("0", "0", "0"), ("0", "0", "0"),
+                                              (f"(lambda - {c!r})^2", "0", "0"))
+        assert sys.lambda_degree == 4
+        assert pf.sliding_lambdas(sys, 0.0, 0.0) == [-1.0, c, 1.0]
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(-0.95, 0.95), min_size=2, max_size=4),
            st.floats(0.25, 4.0), st.sampled_from((1.0, -1.0)))

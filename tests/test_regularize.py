@@ -169,9 +169,10 @@ class TestCriticalManifold:
 
 # (system, x2 grid, x3 grid): closed-form roots with a fold-curve point
 # (0.2, -0.2) at alpha = 0.2; alpha = 0, where f1 is linear in lambda; three
-# seeded normal forms on a 100 x 100 grid; and a hidden term that makes f1
-# cubic in lambda (the root scan). Every grid holds -0.0 right before or
-# right after 0.0.
+# seeded normal forms on a 100 x 100 grid; a hidden term that makes f1
+# cubic in lambda (the root scan); and f1 = (1 - lambda^2)(lambda - 0.1)^2,
+# whose scan root 0.1 is an extremum of f1. Every grid holds -0.0 right
+# before or right after 0.0.
 _GRID_100 = tuple(-1.0 + 2.0 * i / 99 for i in range(50)) + (-0.0, 0.0) \
     + tuple(-1.0 + 2.0 * i / 99 for i in range(50, 100))
 _SEEDED = random.Random(18)
@@ -187,24 +188,34 @@ SWEEP_CASES = {
     "lambda_cubic": (pf.PiecewiseSystem.from_strings(
         ("x2 - 1", "1", "0"), ("x3 + 1", "0", "1"), ("0.5*lambda*x2", "0", "0")),
         (-2.0, -0.0, 0.0, 1.5), (-1.5, 0.0, -0.0, 2.0)),
+    "extremum_root": (pf.PiecewiseSystem.from_strings(
+        ("0", "0", "0"), ("0", "0", "0"), ("(lambda - 0.1)^2", "0", "0")),
+        (-1.0, 0.0, -0.0, 0.5), (-0.0, 0.0, 1.0)),
 }
 
 
+def reference_coefficients(sys, x2, x3):
+    """(a, b, c) with f1 = a lambda^2 + b lambda + c, from the f1 values at
+    lambda = 0, 1 and -1; None where f1 is not at most quadratic in lambda."""
+    if sys.lambda_degree is None or sys.lambda_degree > 2:
+        return None
+    v0 = sys.f1(0.0, x2, x3, 0.0)
+    vp = sys.f1(0.0, x2, x3, 1.0)
+    vm = sys.f1(0.0, x2, x3, -1.0)
+    return 0.5 * (vp + vm) - v0, 0.5 * (vp - vm), v0
+
+
 def reference_manifold(sys, x2_values, x3_values):
-    """critical_manifold as a plain loop: the closed form of three f1 values
-    per grid point where f1 is at most quadratic in lambda, else
-    sliding_lambdas; then f1_dlambda per root."""
-    quadratic = sys.lambda_degree is not None and sys.lambda_degree <= 2
+    """critical_manifold as a plain loop: the closed form of
+    reference_coefficients per grid point where f1 is at most quadratic in
+    lambda, else sliding_lambdas; then f1_dlambda per root."""
     points = []
     for x2 in x2_values:
         for x3 in x3_values:
-            if quadratic:
-                v0 = sys.f1(0.0, x2, x3, 0.0)
-                vp = sys.f1(0.0, x2, x3, 1.0)
-                vm = sys.f1(0.0, x2, x3, -1.0)
-                roots = [min(1.0, max(-1.0, r)) for r in real_quadratic_roots(
-                    0.5 * (vp + vm) - v0, 0.5 * (vp - vm), v0)
-                    if -1.0 - 1e-12 <= r <= 1.0 + 1e-12]
+            coefficients = reference_coefficients(sys, x2, x3)
+            if coefficients is not None:
+                roots = [min(1.0, max(-1.0, r)) for r in real_quadratic_roots(*coefficients)
+                         if -1.0 - 1e-12 <= r <= 1.0 + 1e-12]
             else:
                 roots = pf.sliding_lambdas(sys, x2, x3)
             for lam in roots:
@@ -234,11 +245,19 @@ class TestManifoldSweep:
         zeros = {math.copysign(1.0, p.x2) for p in got if p.x2 == 0.0}
         assert zeros == {1.0, -1.0}
         if case == "lambda_cubic":
-            assert sys.lambda_degree == 3 and sys.f1_lambda_coefficients is None
+            # the reference loop takes sliding_lambdas at every point
+            assert sys.lambda_degree == 3
+            assert all(reference_coefficients(sys, x2, x3) is None
+                       for x2 in x2s for x3 in x3s)
         elif case == "alpha_zero":
             # f1 is linear in lambda: the closed form's a == 0 branch
-            assert all(sys.f1_lambda_coefficients(0.0, (0.0, x2, x3))[0] == 0.0
+            assert all(reference_coefficients(sys, x2, x3)[0] == 0.0
                        for x2 in x2s for x3 in x3s)
+        elif case == "extremum_root":
+            assert [(p.lam, p.stability) for p in got[:3]] == [
+                (-1.0, Stability.REPELLING), (0.1, Stability.NON_HYPERBOLIC),
+                (1.0, Stability.ATTRACTING)]
+            assert len(got) == 3 * len(x2s) * len(x3s)
         elif case == "normal_form":
             assert Stability.NON_HYPERBOLIC in {p.stability for p in got}
         else:
