@@ -156,12 +156,13 @@ class PiecewiseSystem:
         """(x2, x3) -> the roots lambda in [-1, 1] of f1(0, x2, x3; lambda) = 0,
         ascending; chosen once from lambda_degree.
 
-        Beyond quadratic in lambda this is _scan_roots. Otherwise one
-        compiled call takes v0, vp and vm, the values of f1 at lambda = 0, 1
-        and -1 in that order from f1's own source (bit-equal to three f1
-        calls, raising f1's raw error at the same lambda), and returns
-        a = 0.5 (vp + vm) - v0, b = 0.5 (vp - vm) and c = v0. The roots of
-        a lambda^2 + b lambda + c within 1e-12 of [-1, 1] are clamped to it.
+        Where lambda_degree is None or above 2 this is _scan_roots.
+        Otherwise one compiled call takes v0, vp and vm, the values of f1 at
+        lambda = 0, 1 and -1 in that order from f1's own source (bit-equal
+        to three f1 calls, raising f1's raw error at the same lambda), and
+        returns a = 0.5 (vp + vm) - v0, b = 0.5 (vp - vm) and c = v0. The
+        roots of a lambda^2 + b lambda + c within 1e-12 of [-1, 1] are
+        clamped to it.
         """
         if self.lambda_degree is None or self.lambda_degree > 2:
             return partial(_scan_roots, self)

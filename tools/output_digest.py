@@ -118,35 +118,30 @@ def _cli_error(argv, tmp: str) -> bytes:
     return text.replace(tmp, "<tmp>").encode()
 
 
-def _write_json(tmp: str, name: str, doc) -> str:
+def _write(tmp: str, name: str, text: str) -> str:
+    """Write text to tmp/name and return that path."""
     path = os.path.join(tmp, name)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(text)
     return path
 
 
 def _manifold_files(tmp: str):
     """Yield (name, path) of the system files whose manifold CSVs are hashed."""
     yield "invisible_db", _system_path("invisible_db")
-    yield "alpha=0.5", _write_json(tmp, "alpha.json", {"normal_form": {
-        "a1": 1, "a2": 1, "b1": -2, "b2": -1, "alpha": 0.5}})
+    yield "alpha=0.5", _write(tmp, "alpha.json", json.dumps({"normal_form": {
+        "a1": 1, "a2": 1, "b1": -2, "b2": -1, "alpha": 0.5}}))
     fplus, fminus, hidden = CUBIC_SYSTEM
-    yield "lambda_cubic", _write_json(tmp, "lambda_cubic.json", {
-        "fplus": list(fplus), "fminus": list(fminus), "hidden": list(hidden)})
+    yield "lambda_cubic", _write(tmp, "lambda_cubic.json", json.dumps(
+        {"fplus": fplus, "fminus": fminus, "hidden": hidden}))
 
 
 def _error_cases(tmp: str):
     """Yield (name, argv) for one failing CLI call per error path."""
-    def write(name, text):
-        path = os.path.join(tmp, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return path
-
-    bad_json = write("bad.json", "{")
-    zero_div = write("zero_div.json", json.dumps(
+    bad_json = _write(tmp, "bad.json", "{")
+    zero_div = _write(tmp, "zero_div.json", json.dumps(
         {"fplus": ["1/(x2-x2)", "0", "0"], "fminus": ["1", "0", "0"]}))
-    singular = write("singular.json", json.dumps(
+    singular = _write(tmp, "singular.json", json.dumps(
         {"fplus": ["-1/x1", "0", "0"], "fminus": ["1", "0", "0"]}))
     out = ["--out", os.path.join(tmp, "never.csv")]
     yield "missing_file", ["classify", os.path.join(tmp, "missing.json")]
