@@ -143,6 +143,9 @@ def _error_cases(tmp: str):
         {"fplus": ["1/(x2-x2)", "0", "0"], "fminus": ["1", "0", "0"]}))
     singular = _write(tmp, "singular.json", json.dumps(
         {"fplus": ["-1/x1", "0", "0"], "fminus": ["1", "0", "0"]}))
+    math_domain = _write(tmp, "math_domain.json", json.dumps(
+        {"fplus": ["sqrt(x2)", "1", "0"], "fminus": ["x3", "0", "1"],
+         "hidden": ["0.2", "0", "0"]}))
     out = ["--out", os.path.join(tmp, "never.csv")]
     yield "missing_file", ["classify", os.path.join(tmp, "missing.json")]
     yield "invalid_json", ["show", bad_json]
@@ -161,6 +164,7 @@ def _error_cases(tmp: str):
                             "--x0", "1,0,0"] + out
     yield "integration_error", ["simulate", singular, "--mode", "pws", "--t-end", "2",
                                 "--x0", "1,0,0"] + out
+    yield "math_domain", ["manifold", math_domain, "--x2=1:-1:3", "--x3=-1:1:3"] + out
 
 
 def _hex_or_error(fn, *args) -> str:
