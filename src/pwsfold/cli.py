@@ -2,8 +2,9 @@
 
 Commands: classify, folded, fit, show, manifold, simulate, examples. System
 definitions are JSON files (expression fields or a normal_form block);
-reports are JSON on stdout, bulk numeric output is CSV. Exit codes:
-0 success, 2 input error, 3 numerical failure.
+reports are JSON on stdout, bulk numeric output is CSV. Exit codes: 0
+success; 2 input error, a ValidationError; 3 any other failure, a failure
+to compute, whose message names the system file.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys as _sys
 from dataclasses import dataclass
 
 from . import sim
-from .exceptions import IntegrationError, PwsfoldError, ValidationError
+from .exceptions import PwsfoldError, ValidationError
 from .expr import to_text
 from .pws import MAX_SAMPLES, PiecewiseSystem, Trajectory, integrate_pws
 from .regularize import (Sigmoid, builtin_sigmoid, critical_manifold,
@@ -283,8 +284,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_examples(args) -> int:
-    system = sim.example_system(args.which)
-    return _simulate(system, args, sim.DEFAULT_EXAMPLE_X0[args.which])
+    return _simulate(sim.example_system(args.which), args, sim.DEFAULT_EXAMPLE_X0[args.which])
 
 
 # --- entry point ----------------------------------------------------------------
@@ -363,19 +363,18 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    argv = _sys.argv[1:] if argv is None else argv
-    args = ap.parse_args(_attach_signed_values(list(argv)))
+    args = build_parser().parse_args(_attach_signed_values(_sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (IntegrationError, ArithmeticError) as exc:
-        # compiled expression fields raise raw arithmetic errors
-        _sys.stderr.write(f"integration failed: {exc}\n" if isinstance(exc, IntegrationError)
-                          else f"numerical failure: {exc!r}\n")
-        return 3
-    except (PwsfoldError, ValueError) as exc:
+    except ValidationError as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return 2
+    except (PwsfoldError, ArithmeticError, ValueError) as exc:
+        # a failure to compute on accepted input; a raw ArithmeticError or
+        # ValueError comes from a compiled expression of the system file
+        source = getattr(args, "file", None) or f"bundled example_{args.which}.json"
+        _sys.stderr.write(f"numerical failure: {exc!r} (system file: {source})\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,4 +1,12 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Input errors are ValidationError and its subclasses ParseError,
+DegenerateSystemError and DegenerateClassificationError: the system, a
+parameter or a point asked for is not one the computation accepts.
+ValidationError is also a ValueError. Every other PwsfoldError is a
+failure to compute on accepted input, as is a raw ArithmeticError or
+ValueError from a compiled expression.
+"""
 
 from __future__ import annotations
 
@@ -7,12 +15,24 @@ class PwsfoldError(Exception):
     """Base class for all package errors."""
 
 
-class ParseError(PwsfoldError):
+class ValidationError(PwsfoldError, ValueError):
+    """A system definition, CLI input or argument failed validation."""
+
+
+class ParseError(ValidationError):
     """Raised on malformed expression text. Carries the character offset."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
         self.position = position
+
+
+class DegenerateSystemError(ValidationError):
+    """The requested analysis needs a nonzero hidden perturbation (alpha != 0)."""
+
+
+class DegenerateClassificationError(ValidationError):
+    """Folded classification was requested exactly on a class boundary."""
 
 
 class EvaluationError(PwsfoldError):
@@ -41,15 +61,3 @@ class SlidingResidualError(IntegrationError):
 
 class NonHyperbolicPointError(PwsfoldError):
     """Slow-flow projection is indeterminate: potential folded singularity."""
-
-
-class DegenerateSystemError(PwsfoldError):
-    """The requested analysis needs a nonzero hidden perturbation (alpha != 0)."""
-
-
-class DegenerateClassificationError(PwsfoldError):
-    """Folded classification was requested exactly on a class boundary."""
-
-
-class ValidationError(PwsfoldError):
-    """A system definition file or CLI input failed validation."""

@@ -365,7 +365,7 @@ def _div(a: Expression, b: Expression) -> Expression:
 def differentiate(e: Expression, var: str) -> Expression:
     """Exact symbolic partial derivative with respect to one variable."""
     if var not in VARIABLES:
-        raise ValueError(f"unknown variable {var!r}; expected one of {VARIABLES}")
+        raise ValidationError(f"unknown variable {var!r}; expected one of {VARIABLES}")
     return _walk(_diff, e, var)
 
 

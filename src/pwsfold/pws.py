@@ -26,7 +26,7 @@ from functools import cached_property, partial
 
 from . import expr as ex
 from .exceptions import (EvaluationError, EventLimitError, SlidingResidualError,
-                         StepUnderflowError)
+                         StepUnderflowError, ValidationError)
 from ._rk import Dopri3
 from .roots import polish_bracketed_root, real_quadratic_roots
 
@@ -75,7 +75,7 @@ class PiecewiseSystem:
     def from_strings(cls, fplus, fminus, hidden=None) -> "PiecewiseSystem":
         def triple(traw):
             if len(traw) != 3:
-                raise ValueError(f"expected 3 components, got {len(traw)}")
+                raise ValidationError(f"expected 3 components, got {len(traw)}")
             return tuple(ex.parse_expression(s) for s in traw)
 
         if hidden is None:
@@ -215,14 +215,15 @@ class PiecewiseSystem:
 
 def _check_lambda(lam: float) -> None:
     if not -1.0 - 1e-12 <= lam <= 1.0 + 1e-12:
-        raise ValueError(f"lambda must lie in [-1, 1], got {lam!r}")
+        raise ValidationError(f"lambda must lie in [-1, 1], got {lam!r}")
 
 
 def combination(sys: PiecewiseSystem, x, lam: float):
     """The lambda-weighted field at x; equals f+- exactly at lambda = +-1."""
     _check_lambda(lam)
+    combined = sys.combined  # compiled outside the try: a too-deep field is bad input
     try:
-        return sys.combined(x[0], x[1], x[2], lam)
+        return combined(x[0], x[1], x[2], lam)
     except (ZeroDivisionError, ValueError, OverflowError) as exc:
         raise EvaluationError(str(exc)) from exc
 
@@ -233,7 +234,7 @@ def classify_surface_point(sys: PiecewiseSystem, x) -> SurfaceMode:
     A normal component within RESIDUAL_TOL of zero is a tangency.
     """
     if abs(x[0]) > RESIDUAL_TOL:
-        raise ValueError(f"point is not on the surface: x1 = {x[0]!r}")
+        raise ValidationError(f"point is not on the surface: x1 = {x[0]!r}")
     vplus = sys.f1(0.0, x[1], x[2], 1.0)
     vminus = sys.f1(0.0, x[1], x[2], -1.0)
     if abs(vplus) <= RESIDUAL_TOL or abs(vminus) <= RESIDUAL_TOL:
@@ -267,7 +268,7 @@ def _scan_roots(sys: PiecewiseSystem, x2: float, x3: float) -> list[float]:
     f1 to residual 1e-12 in each piece whose end values have opposite
     signs. Roots within 1e-9 are merged.
     """
-    f1 = sys.f1
+    f1, f1_dlam = sys.f1, sys.f1_dlambda  # compile errors propagate
 
     def g(lam: float) -> float:
         return f1(0.0, x2, x3, lam)
@@ -275,7 +276,7 @@ def _scan_roots(sys: PiecewiseSystem, x2: float, x3: float) -> list[float]:
     def dg(lam: float) -> float:
         # no sign information where the partial cannot be evaluated
         try:
-            return sys.f1_dlambda(0.0, x2, x3, lam)
+            return f1_dlam(0.0, x2, x3, lam)
         except (ArithmeticError, ValueError):
             return math.nan
 
@@ -332,17 +333,17 @@ class Trajectory:
 
     def append(self, t: float, state, mode: str, lam: float | None) -> None:
         """Add a sample; one at the last sample's time replaces it, so times
-        stay strictly increasing. An earlier t raises ValueError."""
+        stay strictly increasing. An earlier t raises ValidationError."""
         self.extend([t], [tuple(state)], [mode], [lam])
 
     def extend(self, times, states, modes, lambdas) -> None:
         """Add samples at strictly increasing times (states as tuples), as
         append would one by one: the first replaces a last sample at its
-        time, and raises ValueError if it is earlier."""
+        time, and raises ValidationError if it is earlier."""
         if self.times and times[0] <= self.times[-1]:
             if times[0] < self.times[-1]:
-                raise ValueError(f"sample at t = {times[0]!r} precedes the last, "
-                                 f"at t = {self.times[-1]!r}")
+                raise ValidationError(f"sample at t = {times[0]!r} precedes the last, "
+                                      f"at t = {self.times[-1]!r}")
             del self.times[-1], self.states[-1], self.modes[-1], self.lambdas[-1]
         self.times += times
         self.states += states
@@ -356,7 +357,7 @@ class Trajectory:
     def state_at(self, t: float) -> tuple[float, float, float]:
         """Linearly interpolated state; t must lie inside the time range."""
         if not self.times or t < self.times[0] or t > self.times[-1]:
-            raise ValueError(f"t = {t!r} outside trajectory range")
+            raise ValidationError(f"t = {t!r} outside trajectory range")
         i = bisect.bisect_right(self.times, t)  # >= 1, as t >= times[0]
         if i == len(self.times):
             return self.states[-1]
@@ -404,15 +405,15 @@ class IntegratorOptions:
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
+            raise ValidationError("tolerances must be positive and finite")
         if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+            raise ValidationError("max_steps must be at least 1")
         if self.max_events < 0:
-            raise ValueError("max_events must be at least 0")
+            raise ValidationError("max_events must be at least 0")
         if not 0.0 < self.dense_output_stride < math.inf:
-            raise ValueError("dense_output_stride must be positive and finite")
+            raise ValidationError("dense_output_stride must be positive and finite")
         if self.layer_eps is not None and not 0.0 < self.layer_eps < math.inf:
-            raise ValueError("layer_eps must be positive and finite")
+            raise ValidationError("layer_eps must be positive and finite")
 
 
 PwsOptions = IntegratorOptions
@@ -473,11 +474,11 @@ def _check_start(x0, t_end: float, stride: float) -> None:
     """Reject a non-finite start, a t_end that is not positive and finite,
     or more than MAX_SAMPLES dense samples."""
     if not 0.0 < t_end < math.inf:
-        raise ValueError("t_end must be positive and finite")
+        raise ValidationError("t_end must be positive and finite")
     if t_end > MAX_SAMPLES * stride:
-        raise ValueError(f"t_end / dense_output_stride must not exceed {MAX_SAMPLES}")
+        raise ValidationError(f"t_end / dense_output_stride must not exceed {MAX_SAMPLES}")
     if not all(math.isfinite(v) for v in x0):
-        raise ValueError(f"x0 must be finite, got {tuple(x0)!r}")
+        raise ValidationError(f"x0 must be finite, got {tuple(x0)!r}")
 
 
 def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
@@ -497,7 +498,7 @@ def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
     control trims it as usual. Repelling sliding continues but sets the
     trajectory's non_unique flag. x0 must be finite, t_end positive and
     finite, and t_end / dense_output_stride at most MAX_SAMPLES
-    (ValueError otherwise).
+    (ValidationError otherwise).
     """
     opts = opts or IntegratorOptions()
     _check_start(x0, t_end, opts.dense_output_stride)

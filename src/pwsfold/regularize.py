@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from . import expr as ex
-from .exceptions import NonHyperbolicPointError
+from .exceptions import NonHyperbolicPointError, ValidationError
 from .pws import MAX_SAMPLES, PiecewiseSystem, _check_lambda, combination
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,13 +72,19 @@ def _cubic_second(u: float) -> float:
 
 def _cubic_inverse(lam: float) -> float:
     if not -1.0 <= lam <= 1.0:
-        raise ValueError(f"no preimage for lambda = {lam!r}")
+        raise ValidationError(f"no preimage for lambda = {lam!r}")
     return 2.0 * math.sin(math.asin(lam) / 3.0)
+
+
+def _tanh_inverse(lam: float) -> float:
+    if not -1.0 < lam < 1.0:
+        raise ValidationError(f"no preimage for lambda = {lam!r}")
+    return math.atanh(lam)
 
 
 def _algebraic_inverse(lam: float) -> float:
     if not -1.0 < lam < 1.0:
-        raise ValueError(f"no preimage for lambda = {lam!r}")
+        raise ValidationError(f"no preimage for lambda = {lam!r}")
     return lam / math.sqrt(1.0 - lam * lam)
 
 
@@ -87,7 +93,7 @@ _TANH = Sigmoid(
     value=math.tanh,
     derivative=lambda u: 1.0 - math.tanh(u) ** 2,
     second_derivative=lambda u: -2.0 * math.tanh(u) * (1.0 - math.tanh(u) ** 2),
-    inverse=math.atanh,
+    inverse=_tanh_inverse,
     inline="_tanh({u})",
 )
 
@@ -118,7 +124,7 @@ def builtin_sigmoid(name: str) -> Sigmoid:
     try:
         return _BUILTINS[name]
     except KeyError:
-        raise ValueError(f"unknown sigmoid {name!r}; choose from {SIGMOID_NAMES}") from None
+        raise ValidationError(f"unknown sigmoid {name!r}; choose from {SIGMOID_NAMES}") from None
 
 
 # --- fields ------------------------------------------------------------------
@@ -126,7 +132,7 @@ def builtin_sigmoid(name: str) -> Sigmoid:
 
 def _check_eps(eps: float) -> None:
     if not (0.0 < eps < math.inf and 1.0 / eps < math.inf):
-        raise ValueError(f"eps must be positive and finite, with 1/eps finite; got {eps!r}")
+        raise ValidationError(f"eps must be positive and finite, with 1/eps finite; got {eps!r}")
 
 
 def regularized_field(sys: PiecewiseSystem, s: Sigmoid, eps: float, x):
@@ -162,7 +168,7 @@ def dummy_field(sys: PiecewiseSystem, x, lam: float):
     slow drift of (x2, x3) on the original time.
 
     This is the lambda-weighted field itself, so it is combination(sys, x,
-    lam), with the same ValueError off [-1, 1] and EvaluationError where
+    lam), with the same ValidationError off [-1, 1] and EvaluationError where
     the field does not evaluate.
     """
     return combination(sys, x, lam)
@@ -227,11 +233,11 @@ def nonhyperbolic_curve(params: "TwoFoldParams", n: int) -> list[tuple[float, fl
     """Sample the curve where normal hyperbolicity fails, for the two-fold
     normal form with hidden strength alpha: (lambda, alpha (lambda-1)^2,
     -alpha (lambda+1)^2) for lambda in [-1, 1]. n must lie in
-    [2, pws.MAX_SAMPLES] (ValueError otherwise, before any sample)."""
+    [2, pws.MAX_SAMPLES] (ValidationError otherwise, before any sample)."""
     if n < 2:
-        raise ValueError("need at least 2 samples")
+        raise ValidationError("need at least 2 samples")
     if n > MAX_SAMPLES:
-        raise ValueError(f"need at most {MAX_SAMPLES} samples")
+        raise ValidationError(f"need at most {MAX_SAMPLES} samples")
     out = []
     for i in range(n):
         lam = -1.0 + 2.0 * i / (n - 1)
@@ -274,7 +280,7 @@ def degeneracy_probe(params: "TwoFoldParams", s: Sigmoid,
     (step 1e-4). The point must lie on the non-hyperbolic curve.
     """
     if r not in (1, 2, 3, 4):
-        raise ValueError("order must be between 1 and 4")
+        raise ValidationError("order must be between 1 and 4")
     lam, x2, x3 = point
     al = params.alpha
     u0 = s.inverse(lam)

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import math
 
+from .exceptions import ValidationError
+
 __all__ = ["real_quadratic_roots", "polish_bracketed_root"]
 
 _MAX_ITER = 200  # Illinois iterations of polish_bracketed_root
@@ -55,7 +57,7 @@ def polish_bracketed_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
     if f_hi == 0.0:
         return hi
     if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
-        raise ValueError("bracket does not straddle a sign change")
+        raise ValidationError("bracket does not straddle a sign change")
     lo_negative = f_lo < 0.0
     kept = 0  # the end the last step kept: -1 lo, 1 hi
     for _ in range(_MAX_ITER):

@@ -31,7 +31,7 @@ __all__ = [
 def integrate_smooth(field: Callable, x0, t_end: float,
                      opts: IntegratorOptions | None = None) -> Trajectory:
     """Integrate dx/dt = field(t, x) from a finite x0 to a finite t_end > 0
-    with at most pws.MAX_SAMPLES dense samples (ValueError otherwise).
+    with at most pws.MAX_SAMPLES dense samples (ValidationError otherwise).
 
     Sample modes are 'free+'/'free-' by the sign of x1. The error control
     and t_end alone size the steps. Use regularized_trajectory to also
@@ -58,7 +58,7 @@ def regularized_trajectory(sys: PiecewiseSystem, s: Sigmoid, eps: float,
     """Integrate the regularized system and record the layer value of lambda.
 
     eps must be positive and finite, and so must 1/eps
-    (compile_regularized_field raises ValueError otherwise).
+    (compile_regularized_field raises ValidationError otherwise).
     """
     field = compile_regularized_field(sys, s, eps)
     traj = integrate_smooth(field, x0, t_end, opts)

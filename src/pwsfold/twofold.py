@@ -25,7 +25,8 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 from . import expr as ex
-from .exceptions import DegenerateClassificationError, DegenerateSystemError
+from .exceptions import (DegenerateClassificationError, DegenerateSystemError,
+                         EvaluationError, ValidationError)
 from .pws import PiecewiseSystem
 from .regularize import Sigmoid, _fold_point, _normal_form_f1_dlambda
 from .roots import real_quadratic_roots
@@ -55,10 +56,10 @@ class TwoFoldParams:
 
     def __post_init__(self):
         if self.a1 not in (-1, 1) or self.a2 not in (-1, 1):
-            raise ValueError("a1 and a2 must be +1 or -1")
+            raise ValidationError("a1 and a2 must be +1 or -1")
         for name in ("b1", "b2", "alpha"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     @cached_property
     def _system(self) -> PiecewiseSystem:
@@ -191,7 +192,7 @@ def canonical_coefficients(p: TwoFoldParams, s: Sigmoid,
         raise DegenerateSystemError(
             "canonical coefficients need a nonzero hidden term (alpha != 0)")
     if not -1.0 < phi_s < 1.0:
-        raise ValueError(f"phi_s must lie in (-1, 1), got {phi_s!r}")
+        raise ValidationError(f"phi_s must lie in (-1, 1), got {phi_s!r}")
     al = p.alpha
     P = phi_s
     u_s = s.inverse(P)
@@ -216,7 +217,7 @@ def classify_folded(p_t: float, q_t: float, r_t: float) -> tuple[FoldedClass, Ca
     """
     for v in (p_t, q_t, r_t):
         if not math.isfinite(v):
-            raise ValueError("coefficients must be finite")
+            raise ValidationError("coefficients must be finite")
     rp = r_t * p_t
     disc = q_t * q_t - 8.0 * rp
     scale = max(abs(rp), q_t * q_t, 1e-300)
@@ -265,14 +266,14 @@ def transformed_field(p: TwoFoldParams, s: Sigmoid, phi_s: float):
         z3 = -sgn * xt3
         arg = (1.0 + P) ** 2 - z3 / al
         if arg <= 0.0:
-            raise ValueError("point is outside the rectification chart")
+            raise EvaluationError("point is outside the rectification chart")
         root = math.sqrt(arg)
         y1l = -(1.0 + P) + root
         y2l = -z3 - 4.0 * al * y1l
         y2lp = (1.0 - P - y1l) / (1.0 + P + y1l)
         phi = P + z1 + y1l
         if not -1.0 < phi < 1.0:
-            raise ValueError("point leaves the transition layer")
+            raise EvaluationError("point leaves the transition layer")
         u = s.inverse(phi)
         x2 = x2s + z2 + y2l
         x3 = x3s + z3

@@ -7,6 +7,9 @@ import jsonschema
 import pytest
 
 from pwsfold import cli, sim
+from pwsfold.exceptions import (DegenerateClassificationError, DegenerateSystemError,
+                                EvaluationError, NonHyperbolicPointError, ParseError,
+                                StepBudgetError, ValidationError)
 
 SYSTEMS_DIR = os.path.join(os.path.dirname(cli.__file__), "systems")
 SCHEMA_PATH = os.path.join(os.path.dirname(cli.__file__), "schemas",
@@ -194,14 +197,15 @@ class TestManifold:
         assert not out.exists()
 
     @pytest.mark.parametrize("f1, code, error", [
-        ("1/x2", 3, "ZeroDivisionError"), ("sqrt(x2)", 2, "math domain error")])
+        ("1/x2", 3, "ZeroDivisionError"), ("sqrt(x2)", 3, "math domain error")])
     def test_f1_raising_at_a_node(self, tmp_path, capsys, f1, code, error):
         # f1 quadratic in lambda, raising at the grid node x2 = 0 or -1
         path = write_json(tmp_path, "raise.json", {
             "fplus": [f1, "1", "0"], "fminus": ["x3", "0", "1"], "hidden": ["0.2", "0", "0"]})
         out = tmp_path / "m.csv"
         assert run(["manifold", path, "--x2=1:-1:3", "--x3=-1:1:3", "--out", str(out)]) == code
-        assert error in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert error in err and path in err
         assert not out.exists()
 
     def test_bad_lcurve_samples_writes_nothing(self, tmp_path, capsys):
@@ -436,6 +440,9 @@ class TestSimulate:
         code = run(["simulate", path, "--mode", "pws", "--t-end", "2",
                     "--x0", "1,0,0", "--out", str(tmp_path / "s.csv")])
         assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: StepUnderflowError('step size underflow")
+        assert err.endswith(f"(system file: {path})\n")
 
     def test_arithmetic_error_exit_3(self, tmp_path, capsys):
         # compiled fields raise raw ZeroDivisionError, mapped to exit 3
@@ -444,7 +451,57 @@ class TestSimulate:
         code = run(["simulate", path, "--mode", "pws", "--t-end", "1",
                     "--x0", "1,0,0", "--out", str(tmp_path / "z.csv")])
         assert code == 3
-        assert capsys.readouterr().err.startswith("numerical failure: ZeroDivisionError")
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ZeroDivisionError")
+        assert err.endswith(f"(system file: {path})\n")
+
+
+class TestFailureRule:
+    """The exception's type alone decides the exit code: a ValidationError,
+    a ParseError, DegenerateSystemError or DegenerateClassificationError
+    among them, exits 2; any other failure exits 3 and names the system
+    file."""
+
+    SQRT = {"fplus": ["sqrt(x2)", "1", "0"], "fminus": ["x3", "0", "1"],
+            "hidden": ["0.2", "0", "0"]}
+
+    @pytest.mark.parametrize("exc, code", [
+        (ValidationError("bad"), 2), (ParseError("bad", 0), 2),
+        (DegenerateSystemError("bad"), 2), (DegenerateClassificationError("bad"), 2),
+        (EvaluationError("bad"), 3), (StepBudgetError("bad"), 3),
+        (NonHyperbolicPointError("bad"), 3), (ZeroDivisionError("bad"), 3),
+        (OverflowError("bad"), 3), (ValueError("bad"), 3)])
+    def test_type_decides_the_code(self, monkeypatch, capsys, exc, code):
+        def fail(path):
+            raise exc
+        monkeypatch.setattr(cli, "load_system_file", fail)
+        path = bundled("invisible_db.json")
+        assert run(["show", path]) == code
+        want = (f"error: {exc}\n" if code == 2
+                else f"numerical failure: {exc!r} (system file: {path})\n")
+        assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("argv", [
+        ["manifold", "--x2=1:-1:3", "--x3=-1:1:3"],
+        ["simulate", "--mode", "pws", "--x0=0.5,-1,0"]])
+    def test_math_domain_error_exit_3(self, tmp_path, capsys, argv):
+        # sqrt(x2) of f1+ at x2 = -1 raises a raw ValueError from compiled code
+        path = write_json(tmp_path, "sqrt.json", self.SQRT)
+        out = tmp_path / "out.csv"
+        assert run(argv[:1] + [path] + argv[1:] + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: ValueError('math domain error') (system file: {path})\n")
+        assert not out.exists()
+
+    def test_bundled_example_is_named(self, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise StepBudgetError("exceeded max_steps=1")
+        monkeypatch.setattr(sim, "regularized_trajectory", fail)
+        assert run(["examples", "ii", "--eps", "1e-3", "--t-end", "1",
+                    "--out", str(tmp_path / "e.csv")]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: StepBudgetError('exceeded max_steps=1') "
+            "(system file: bundled example_ii.json)\n")
 
 
 class TestDeepExpressions:

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 import pwsfold as pf
 from pwsfold import expr as ex
 from pwsfold.cli import load_system_file
-from pwsfold.exceptions import SlidingResidualError, StepUnderflowError
+from pwsfold.exceptions import SlidingResidualError, StepUnderflowError, ValidationError
 from pwsfold._rk import hermite
 from pwsfold.pws import PwsOptions, _Recorder, _resolve_tangency
 from pwsfold.roots import real_quadratic_roots
@@ -76,6 +76,14 @@ class TestCombination:
     def test_lambda_range_enforced(self):
         with pytest.raises(ValueError):
             pf.combination(normal_form(), (0, 0, 0), 1.5)
+
+    def test_field_too_deep_to_compile_is_an_input_error(self):
+        # a 250-term sum in f2 passes the parser but not Python's compiler;
+        # that stays a ValidationError, not an EvaluationError of the call
+        sys = pf.PiecewiseSystem.from_strings(("-1", "+".join(["x2"] * 250), "0"),
+                                              ("1", "0", "0"))
+        with pytest.raises(ValidationError, match="too deeply nested to compile"):
+            pf.combination(sys, (0.0, 0.0, 0.0), 0.0)
 
     def test_hidden_annihilation_bulk(self):
         sys = pf.PiecewiseSystem.from_strings(
@@ -219,6 +227,17 @@ class TestSlidingLambdas:
             sys.f1_dlambda(0.0, 0.0, 0.0, 0.0)
         roots = pf.sliding_lambdas(sys, 0.0, 0.0)
         assert roots == pytest.approx([-1.0, -0.5, 0.5, 1.0], abs=1e-12)
+
+    def test_scan_raises_a_slope_it_cannot_compile(self):
+        # f1 of degree 122 in lambda compiles, but its lambda-partial, a sum
+        # of 120 products, is too deep for Python's compiler: that is an
+        # input error, not a slope the scan skips as NaN
+        hidden = "*".join(["(1+0.001*lambda)"] * 120)
+        sys = pf.PiecewiseSystem.from_strings(("-1", "-1", "0"), ("1", "-1", "0"),
+                                              (hidden, "0", "0"))
+        sys.f1(0.0, 0.0, 0.0, 0.5)
+        with pytest.raises(ValidationError, match="too deeply nested to compile"):
+            pf.sliding_lambdas(sys, 0.0, 0.0)
 
     @pytest.mark.parametrize("hidden, expected", [
         # f1 = (1 - lambda^2) lambda (lambda - 1/64): the root on the node 0

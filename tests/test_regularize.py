@@ -7,7 +7,7 @@ import pytest
 import pwsfold as pf
 from pwsfold import expr as ex, regularize
 from pwsfold.cli import load_system_file
-from pwsfold.exceptions import EvaluationError, NonHyperbolicPointError
+from pwsfold.exceptions import EvaluationError, NonHyperbolicPointError, ValidationError
 from pwsfold.pws import MAX_SAMPLES
 from pwsfold.roots import real_quadratic_roots
 from pwsfold.regularize import (Stability, builtin_sigmoid, critical_manifold,
@@ -54,6 +54,14 @@ class TestSigmoids:
             assert s.derivative(u) == pytest.approx(fd, rel=1e-6, abs=1e-9)
             fd2 = (s.derivative(u + h) - s.derivative(u - h)) / (2 * h)
             assert s.second_derivative(u) == pytest.approx(fd2, rel=1e-5, abs=1e-6)
+
+    @pytest.mark.parametrize("s", SIGMOIDS, ids=lambda s: s.name)
+    def test_no_preimage_outside_the_range(self, s):
+        # tanh and algebraic reach +-1 only in the limit; cubic reaches it
+        outside = (-1.5, 1.5, math.nan) + ((-1.0, 1.0) if s.name != "cubic" else ())
+        for lam in outside:
+            with pytest.raises(ValidationError, match="no preimage for lambda"):
+                s.inverse(lam)
 
     def test_cubic_saturates_exactly(self):
         c = builtin_sigmoid("cubic")
@@ -437,6 +445,10 @@ class TestDummyField:
             pf.combination(sys, (0.0, 0.0, 0.0), 0.5)
         with pytest.raises(EvaluationError):
             dummy_field(sys, (0.0, 0.0, 0.0), 0.5)
+        # a raw ValueError of the compiled field, too
+        sys = pf.PiecewiseSystem.from_strings(("sqrt(x2)", "0", "0"), ("1", "0", "0"))
+        with pytest.raises(EvaluationError, match="math domain error"):
+            pf.combination(sys, (0.0, -1.0, 0.0), 1.0)
 
     def test_equilibria_coincide_with_sliding_lambdas(self):
         sys = normal_form(alpha=0.2)
