@@ -219,6 +219,9 @@ def cmd_show(args) -> int:
 
 def cmd_manifold(args) -> int:
     sf = load_system_file(args.file)
+    if args.lcurve_out is not None and sf.normal_form is None:
+        raise ValidationError("--lcurve-out: the non-hyperbolic curve needs a system "
+                              "file with a normal_form block")
     x2_spec = _parse_grid(args.x2, "--x2")
     x3_spec = _parse_grid(args.x3, "--x3")
     # bounds on the parsed counts, before any list is built

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Callable, Union
 
 from .exceptions import EvaluationError, ParseError, ValidationError
@@ -459,6 +460,16 @@ def _py_source(e: Expression, sub: Callable[[Expression], str] | None = None) ->
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _literal_source(e: Expression, literals: dict[str, float]) -> str:
+    """Python source of e with each variable named in literals printed as
+    that constant, by the plain printer and without simplification."""
+    def sub(node):
+        if isinstance(node, Var) and node.name in literals:
+            return _py_source(Const(literals[node.name]))
+        return _py_source(node, sub)
+    return sub(e)
+
+
 def _operands(e: Expression) -> tuple[Expression, ...]:
     if isinstance(e, BinOp):
         return (e.left, e.right)
@@ -523,7 +534,8 @@ _PRELUDE = ", ".join(f"{local}={local}" for local in _BINDINGS)
 
 
 def _generate(exprs,
-              binds: tuple[tuple[str, str | Expression], ...] | None = None) -> Callable:
+              binds: tuple[tuple[str, str | Expression], ...] | None = None,
+              template: str | None = None) -> Callable:
     """Compile one expression, or a tuple of them, into a Python function.
 
     A tuple compiles to a tuple-valued function. The arguments are
@@ -535,26 +547,38 @@ def _generate(exprs,
     tree is printed by the plain printer, so no subexpression is shared
     across binds, which may rebind lam. The other functions are compiled
     often and called a few times each, so they keep the plain printer.
+
+    Given template, the source of a function named _f whose parameters end
+    in {prelude}, exprs is a tuple of (tree, literals) pairs and the
+    template's {0}, {1}, ... take their sources by _literal_source. Python's
+    compiler folds the subexpressions that the literals make constant, with
+    the same operations in the same order as at run time, and leaves one
+    that raises to raise at run time.
+
     A tree too deep for the printer or for Python's compiler (about 200
     nested operations) raises ValidationError.
     """
-    items = exprs if isinstance(exprs, tuple) else (exprs,)
     ns = dict(_BINDINGS)
     try:
-        if binds is None:
-            sources = [_py_source(e) for e in items]
-            head = f"def _f(x1, x2, x3, lam, {_PRELUDE}):\n"
+        if template is not None:
+            source = template.format(*starmap(_literal_source, exprs), prelude=_PRELUDE)
         else:
-            sources = _shared_source(items)
-            head = (f"def _f(t, x, {_PRELUDE}):\n"
-                    "    x1, x2, x3 = x\n"
-                    + "".join(f"    {name} = {s if isinstance(s, str) else _py_source(s)}\n"
-                              for name, s in binds))
-        if isinstance(exprs, tuple):
-            result = "(" + ", ".join(sources) + ")"
-        else:
-            result = sources[0]
-        exec(f"{head}    return {result}\n", ns)
+            items = exprs if isinstance(exprs, tuple) else (exprs,)
+            if binds is None:
+                sources = [_py_source(e) for e in items]
+                head = f"def _f(x1, x2, x3, lam, {_PRELUDE}):\n"
+            else:
+                sources = _shared_source(items)
+                head = (f"def _f(t, x, {_PRELUDE}):\n"
+                        "    x1, x2, x3 = x\n"
+                        + "".join(f"    {name} = {s if isinstance(s, str) else _py_source(s)}\n"
+                                  for name, s in binds))
+            if isinstance(exprs, tuple):
+                result = "(" + ", ".join(sources) + ")"
+            else:
+                result = sources[0]
+            source = f"{head}    return {result}\n"
+        exec(source, ns)
     except (SyntaxError, RecursionError) as exc:
         raise ValidationError(f"expression too deeply nested to compile ({exc})") from exc
     return ns["_f"]

@@ -23,12 +23,13 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import NamedTuple
 
-from . import expr as ex
+from . import expr as ex, roots
 from .exceptions import (EvaluationError, EventLimitError, SlidingResidualError,
                          StepUnderflowError, ValidationError)
 from ._rk import Dopri3
-from .roots import polish_bracketed_root, real_quadratic_roots
+from .roots import polish_bracketed_root
 
 __all__ = [
     "PiecewiseSystem", "SurfaceMode", "Trajectory", "IntegratorOptions",
@@ -42,6 +43,32 @@ MAX_SAMPLES = 10**7  # bound on t_end / dense_output_stride, the dense samples o
 # nodes of the sliding-root scan, 64 subintervals of [-1, 1], for f1 beyond
 # quadratic in lambda
 _SCAN_NODES = tuple(-1.0 + 2.0 * i / 64 for i in range(65))
+# |df1/dlambda| below which a root of f1 is a non-hyperbolic layer equilibrium
+_HYPERBOLICITY_TOL = 1e-9
+# PiecewiseSystem._critical_row where f1 is at most quadratic in lambda, an
+# ex._generate template: {0}, {1} and {2} are f1 at x1 = 0 and lambda = 0, 1
+# and -1, {3} is df1/dlambda at x1 = 0. At each x3 the roots of
+# a lambda^2 + b lambda + c with a = (f1(1) + f1(-1))/2 - f1(0),
+# b = (f1(1) - f1(-1))/2 and c = f1(0) come from roots.real_quadratic_roots,
+# looked up on the module per point (a tracer may replace it); those within
+# 1e-12 of [-1, 1] are clamped to it, staying ascending, and each is
+# classified by df1/dlambda there as _scan_row classifies it.
+_QUADRATIC_ROW = """\
+def _f(_roots, _new, _point, _tol, _labels, x2, x3_values, {prelude}):
+    _non_hyperbolic, _attracting, _repelling = _labels
+    _out = []
+    for x3 in x3_values:
+        _v0 = {0}
+        _vp = {1}
+        _vm = {2}
+        for _r in _roots.real_quadratic_roots(0.5 * (_vp + _vm) - _v0, 0.5 * (_vp - _vm), _v0):
+            if -1.0 - 1e-12 <= _r <= 1.0 + 1e-12:
+                lam = 1.0 if _r > 1.0 else -1.0 if _r < -1.0 else _r
+                _d = {3}
+                _out.append(_new(_point, (lam, x2, x3, _non_hyperbolic if abs(_d) < _tol
+                                          else _attracting if _d < 0.0 else _repelling)))
+    return _out
+"""
 
 _LAM = ex.Var("lambda")
 _HALF_PLUS = ex.BinOp("*", ex.BinOp("+", ex.ONE, _LAM), ex.Const(0.5))
@@ -56,6 +83,21 @@ class SurfaceMode(enum.Enum):
     TANGENCY = "tangency"
 
 
+class Stability(enum.Enum):
+    ATTRACTING = "attracting"
+    REPELLING = "repelling"
+    NON_HYPERBOLIC = "non_hyperbolic"
+
+
+class CriticalPoint(NamedTuple):
+    """A layer equilibrium (lambda, x2, x3) with its normal stability."""
+
+    lam: float
+    x2: float
+    x3: float
+    stability: Stability
+
+
 @dataclass(frozen=True)
 class PiecewiseSystem:
     """Immutable triple of 3-component expression fields (f+, f-, g).
@@ -63,8 +105,10 @@ class PiecewiseSystem:
     Every compiled quantity of the critical manifold
     S = {f1(0, x2, x3; lambda) = 0} comes from combined_expressions: f1,
     its lambda-partial f1_dlambda (zero on S's fold curve), its gradient
-    f1_gradient, the root finder _sliding_roots and the reduced flow
-    _sliding_field built from these. Each compiles once, on first use.
+    f1_gradient, the root finder _critical_row, which sweeps a row of x3
+    values at one x2 and classifies each root by df1/dlambda, and the
+    reduced flow _sliding_field built from these. Each compiles once, on
+    first use.
     """
 
     fplus: tuple[ex.Expression, ex.Expression, ex.Expression]
@@ -152,39 +196,24 @@ class PiecewiseSystem:
         return ex.polynomial_degree(self.combined_expressions[0], "lambda")
 
     @cached_property
-    def _sliding_roots(self):
-        """(x2, x3) -> the roots lambda in [-1, 1] of f1(0, x2, x3; lambda) = 0,
-        ascending; chosen once from lambda_degree.
+    def _critical_row(self):
+        """(x2, x3_values) -> the CriticalPoints of f1(0, x2, x3; lambda) = 0
+        for each x3 in turn, their lambda ascending in [-1, 1]; the one root
+        finder of the system, chosen once from lambda_degree.
 
-        Where lambda_degree is None or above 2 this is _scan_roots.
-        Otherwise one compiled call takes v0, vp and vm, the values of f1 at
-        lambda = 0, 1 and -1 in that order from f1's own source (bit-equal
-        to three f1 calls, raising f1's raw error at the same lambda), and
-        returns a = 0.5 (vp + vm) - v0, b = 0.5 (vp - vm) and c = v0. The
-        roots of a lambda^2 + b lambda + c within 1e-12 of [-1, 1] are
-        clamped to it.
+        Where lambda_degree is None or above 2 this is _scan_row. Otherwise
+        it is a function generated on first use from _QUADRATIC_ROW.
         """
         if self.lambda_degree is None or self.lambda_degree > 2:
-            return partial(_scan_roots, self)
+            return partial(_scan_row, self)
         f1 = self.combined_expressions[0]
-        v0, vp, vm = ex.Var("_v0"), ex.Var("_vp"), ex.Var("_vm")
-        half = ex.Const(0.5)
-        coefficients = ex.compile_field(
-            (ex.BinOp("-", ex.BinOp("*", half, ex.BinOp("+", vp, vm)), v0),
-             ex.BinOp("*", half, ex.BinOp("-", vp, vm)), v0),
-            (("lam", "0.0"), ("_v0", f1), ("lam", "1.0"), ("_vp", f1),
-             ("lam", "-1.0"), ("_vm", f1)))
-
-        def closed_form(x2: float, x3: float) -> list[float]:
-            out = []
-            # a module global looked up per call: perfbench's tracer patches it
-            for r in real_quadratic_roots(*coefficients(0.0, (0.0, x2, x3))):
-                if -1.0 - 1e-12 <= r <= 1.0 + 1e-12:
-                    # ascending roots stay ascending under the clamp
-                    out.append(1.0 if r > 1.0 else -1.0 if r < -1.0 else r)
-            return out
-
-        return closed_form
+        kernel = ex._generate(((f1, {"x1": 0.0, "lambda": 0.0}),
+                               (f1, {"x1": 0.0, "lambda": 1.0}),
+                               (f1, {"x1": 0.0, "lambda": -1.0}),
+                               (ex.differentiate(f1, "lambda"), {"x1": 0.0})),
+                              template=_QUADRATIC_ROW)
+        return partial(kernel, roots, tuple.__new__, CriticalPoint, _HYPERBOLICITY_TOL,
+                       (Stability.NON_HYPERBOLIC, Stability.ATTRACTING, Stability.REPELLING))
 
     @cached_property
     def _branch_fields(self):
@@ -249,16 +278,23 @@ def classify_surface_point(sys: PiecewiseSystem, x) -> SurfaceMode:
 def sliding_lambdas(sys: PiecewiseSystem, x2: float, x3: float) -> list[float]:
     """All roots lambda in [-1, 1] of f1(0, x2, x3; lambda) = 0, ascending.
 
-    They come from the system's one root finder, PiecewiseSystem
-    ._sliding_roots: the closed form where f1 is at most quadratic in
-    lambda, else _scan_roots. The sliding legs find their roots here;
-    critical_manifold calls the same finder.
+    They are the lambdas of the one-point row (x2, (x3,)) of the system's
+    one root finder, PiecewiseSystem._critical_row: the generated quadratic
+    closed form where f1 is at most quadratic in lambda, else _scan_row. The
+    sliding legs find their roots here; critical_manifold calls the same
+    finder once per x2.
     """
-    return sys._sliding_roots(x2, x3)
+    lambdas = []
+    for point in sys._critical_row(x2, (x3,)):
+        lambdas.append(point[0])
+    return lambdas
 
 
-def _scan_roots(sys: PiecewiseSystem, x2: float, x3: float) -> list[float]:
-    """The roots of f1 beyond quadratic in lambda, found by a scan.
+def _scan_row(sys: PiecewiseSystem, x2: float, x3_values) -> list[CriticalPoint]:
+    """PiecewiseSystem._critical_row beyond quadratic in lambda: at each x3
+    in turn, the roots of f1 found by a scan, each classified by
+    d = df1/dlambda there: non-hyperbolic where |d| < _HYPERBOLICITY_TOL,
+    else attracting where d < 0 and repelling where d > 0 or d is NaN.
 
     f1 and df1/dlambda are evaluated at the 65 _SCAN_NODES. A subinterval
     where df1/dlambda changes sign is split at the extremum of f1 there,
@@ -268,39 +304,44 @@ def _scan_roots(sys: PiecewiseSystem, x2: float, x3: float) -> list[float]:
     f1 to residual 1e-12 in each piece whose end values have opposite
     signs. Roots within 1e-9 are merged.
     """
-    f1, f1_dlam = sys.f1, sys.f1_dlambda  # compile errors propagate
-
-    def g(lam: float) -> float:
-        return f1(0.0, x2, x3, lam)
-
-    def dg(lam: float) -> float:
-        # no sign information where the partial cannot be evaluated
-        try:
-            return f1_dlam(0.0, x2, x3, lam)
-        except (ArithmeticError, ValueError):
-            return math.nan
-
+    f1_dlam, f1 = sys.f1_dlambda, sys.f1  # compile errors propagate
     nodes = _SCAN_NODES
-    vals = [g(u) for u in nodes]
-    slopes = [dg(u) for u in nodes]
-    roots = [u for u, v in zip(nodes, vals) if v == 0.0]
-    for lo, hi, flo, fhi, a, b in zip(nodes, nodes[1:], vals, vals[1:],
-                                      slopes, slopes[1:]):
-        if a < 0.0 < b or b < 0.0 < a:  # a NaN slope never splits
-            mid = polish_bracketed_root(dg, lo, hi, a, b, residual_tol=0.0)
-            fmid = g(mid)
-            if fmid == 0.0:
-                roots.append(mid)
-            if flo < 0.0 < fmid or fmid < 0.0 < flo:
-                roots.append(polish_bracketed_root(g, lo, mid, flo, fmid))
-            lo, flo = mid, fmid
-        if flo < 0.0 < fhi or fhi < 0.0 < flo:
-            roots.append(polish_bracketed_root(g, lo, hi, flo, fhi))
-    out: list[float] = []
-    for r in sorted(roots):
-        if not out or abs(r - out[-1]) > 1e-9:
-            out.append(r)
-    return out
+    points = []
+    for x3 in x3_values:
+        def g(lam: float) -> float:
+            return f1(0.0, x2, x3, lam)
+
+        def dg(lam: float) -> float:
+            # no sign information where the partial cannot be evaluated
+            try:
+                return f1_dlam(0.0, x2, x3, lam)
+            except (ArithmeticError, ValueError):
+                return math.nan
+
+        vals = [g(u) for u in nodes]
+        slopes = [dg(u) for u in nodes]
+        roots = [u for u, v in zip(nodes, vals) if v == 0.0]
+        for lo, hi, flo, fhi, a, b in zip(nodes, nodes[1:], vals, vals[1:],
+                                          slopes, slopes[1:]):
+            if a < 0.0 < b or b < 0.0 < a:  # a NaN slope never splits
+                mid = polish_bracketed_root(dg, lo, hi, a, b, residual_tol=0.0)
+                fmid = g(mid)
+                if fmid == 0.0:
+                    roots.append(mid)
+                if flo < 0.0 < fmid or fmid < 0.0 < flo:
+                    roots.append(polish_bracketed_root(g, lo, mid, flo, fmid))
+                lo, flo = mid, fmid
+            if flo < 0.0 < fhi or fhi < 0.0 < flo:
+                roots.append(polish_bracketed_root(g, lo, hi, flo, fhi))
+        lam = None
+        for r in sorted(roots):
+            if lam is None or abs(r - lam) > 1e-9:
+                lam, d = r, f1_dlam(0.0, x2, x3, r)
+                points.append(CriticalPoint(lam, x2, x3, Stability.NON_HYPERBOLIC
+                                            if abs(d) < _HYPERBOLICITY_TOL else
+                                            Stability.ATTRACTING if d < 0.0 else
+                                            Stability.REPELLING))
+    return points
 
 
 def sliding_field(sys: PiecewiseSystem, x2: float, x3: float,

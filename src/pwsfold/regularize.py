@@ -10,14 +10,14 @@ through the sigmoid's inverse and derivative only where needed.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import expr as ex
 from .exceptions import NonHyperbolicPointError, ValidationError
-from .pws import MAX_SAMPLES, PiecewiseSystem, _check_lambda, combination
+from .pws import (CriticalPoint, MAX_SAMPLES, PiecewiseSystem, Stability,
+                  _HYPERBOLICITY_TOL, _check_lambda, combination)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .twofold import TwoFoldParams
@@ -177,45 +177,21 @@ def dummy_field(sys: PiecewiseSystem, x, lam: float):
 # --- critical objects ---------------------------------------------------------
 
 
-class Stability(enum.Enum):
-    ATTRACTING = "attracting"
-    REPELLING = "repelling"
-    NON_HYPERBOLIC = "non_hyperbolic"
-
-
-class CriticalPoint(NamedTuple):
-    """A layer equilibrium (lambda, x2, x3) with its normal stability."""
-
-    lam: float
-    x2: float
-    x3: float
-    stability: Stability
-
-
-_HYPERBOLICITY_TOL = 1e-9
-
-
 def critical_manifold(sys: PiecewiseSystem, x2_values: Sequence[float],
                       x3_values: Sequence[float]) -> list[CriticalPoint]:
     """Sample the sliding manifold over a rectangular (x2, x3) grid.
 
     x2 runs in the outer loop and x3 in the inner one; at each grid point
-    the roots lambda follow in ascending order, from the system's one root
-    finder (PiecewiseSystem._sliding_roots, as in sliding_lambdas). A root
-    is non-hyperbolic where |df1/dlambda| < 1e-9, else attracting where
-    df1/dlambda < 0 and repelling where it is positive (or NaN).
+    the roots lambda follow in ascending order. The system's one root
+    finder, PiecewiseSystem._critical_row (as in sliding_lambdas), sweeps
+    each x2's row of x3 values in one call. A root is non-hyperbolic where
+    |df1/dlambda| < 1e-9, else attracting where df1/dlambda < 0 and
+    repelling where it is positive (or NaN).
     """
-    find, slope, make = sys._sliding_roots, sys.f1_dlambda, CriticalPoint._make
-    attracting, repelling = Stability.ATTRACTING, Stability.REPELLING
-    non_hyperbolic = Stability.NON_HYPERBOLIC
-    points = []
-    append = points.append
+    row = sys._critical_row
+    points: list[CriticalPoint] = []
     for x2 in x2_values:
-        for x3 in x3_values:
-            for lam in find(x2, x3):
-                d = slope(0.0, x2, x3, lam)
-                append(make((lam, x2, x3, non_hyperbolic if abs(d) < _HYPERBOLICITY_TOL
-                             else attracting if d < 0.0 else repelling)))
+        points += row(x2, x3_values)
     return points
 
 

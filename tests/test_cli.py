@@ -280,16 +280,22 @@ class TestInputChecks:
         (None, ["--x2=-1:1:3", "--x3=-1:1:three"], "--x3", "invalid literal"),
         (None, _PWS + ["--x0=0.1,0.1"], "--x0", "expected three comma-separated reals"),
         (None, _PWS + ["--x0=0.1,0.1,zero"], "--x0", "could not convert"),
+        # example_ii has expression fields, no normal_form block, so no curve
+        (None, _GRID + ["--lcurve-out={tmp}/l.csv"], "--lcurve-out",
+         "the non-hyperbolic curve needs a system file with a normal_form block"),
     ], ids=["top_level", "normal_form", "number", "alpha", "sign", "missing",
-            "length", "string", "grid_parts", "grid_count", "x0_parts", "x0_value"])
+            "length", "string", "grid_parts", "grid_count", "x0_parts", "x0_value",
+            "lcurve_without_normal_form"])
     def test_exit_2_names_it_and_writes_nothing(self, tmp_path, capsys, doc, flags, flag,
                                                 message):
         command = "simulate" if flag == "--x0" else "manifold"
         if doc is None:
-            path = bundled("example_ii.json" if flag == "--x0" else "invisible_db.json")
+            path = bundled("invisible_db.json" if flag in ("--x2", "--x3")
+                           else "example_ii.json")
         else:
             path = write_json(tmp_path, "system.json", doc)
         before = os.listdir(tmp_path)
+        flags = [f.format(tmp=tmp_path) for f in flags]
         assert run([command, path] + flags + ["--out", str(tmp_path / "out.csv")]) == 2
         assert f"{flag or path}: {message}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == before

@@ -3,6 +3,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pwsfold as pf
 from pwsfold import expr as ex, regularize
@@ -213,29 +214,33 @@ def reference_coefficients(sys, x2, x3):
     return 0.5 * (vp + vm) - v0, 0.5 * (vp - vm), v0
 
 
-def reference_manifold(sys, x2_values, x3_values):
-    """critical_manifold as a plain loop: the closed form of
-    reference_coefficients per grid point where f1 is at most quadratic in
-    lambda, else sliding_lambdas; then f1_dlambda per root."""
+def reference_points(sys, x2, x3):
+    """critical_manifold at one grid point as a plain loop: the closed form
+    of reference_coefficients where f1 is at most quadratic in lambda, else
+    sliding_lambdas; then f1_dlambda per root."""
+    coefficients = reference_coefficients(sys, x2, x3)
+    if coefficients is not None:
+        roots = [min(1.0, max(-1.0, r)) for r in real_quadratic_roots(*coefficients)
+                 if -1.0 - 1e-12 <= r <= 1.0 + 1e-12]
+    else:
+        roots = pf.sliding_lambdas(sys, x2, x3)
     points = []
-    for x2 in x2_values:
-        for x3 in x3_values:
-            coefficients = reference_coefficients(sys, x2, x3)
-            if coefficients is not None:
-                roots = [min(1.0, max(-1.0, r)) for r in real_quadratic_roots(*coefficients)
-                         if -1.0 - 1e-12 <= r <= 1.0 + 1e-12]
-            else:
-                roots = pf.sliding_lambdas(sys, x2, x3)
-            for lam in roots:
-                slope = sys.f1_dlambda(0.0, x2, x3, lam)
-                if abs(slope) < 1e-9:
-                    stability = Stability.NON_HYPERBOLIC
-                elif slope < 0.0:
-                    stability = Stability.ATTRACTING
-                else:
-                    stability = Stability.REPELLING
-                points.append((lam, x2, x3, stability))
+    for lam in roots:
+        slope = sys.f1_dlambda(0.0, x2, x3, lam)
+        if abs(slope) < 1e-9:
+            stability = Stability.NON_HYPERBOLIC
+        elif slope < 0.0:
+            stability = Stability.ATTRACTING
+        else:
+            stability = Stability.REPELLING
+        points.append((lam, x2, x3, stability))
     return points
+
+
+def reference_manifold(sys, x2_values, x3_values):
+    """critical_manifold as reference_points over the grid, x2 outer."""
+    return [point for x2 in x2_values for x3 in x3_values
+            for point in reference_points(sys, x2, x3)]
 
 
 class TestManifoldSweep:
@@ -300,6 +305,101 @@ class TestManifoldSweep:
         assert tuple(point) == (0.5, 1.0, 2.0, Stability.REPELLING)
         assert point == CriticalPoint(lam=0.5, x2=1.0, x3=2.0,
                                       stability=Stability.REPELLING)
+
+
+# Systems with f1 at most quadratic in lambda, for the generated row kernel.
+# fplus and fminus enter f1 times (1 +- lambda)/2, so their f1 is at most
+# linear in lambda; the hidden term enters times (1 - lambda^2), so it is
+# lambda-free. Terms in x1 are constant on the surface (x1 = 0) and are
+# folded at compile time; sqrt(x2) and 1/x3 raise on part of the grid, a
+# division by a term in x1 alone on all of it.
+_FREE = st.recursive(
+    st.sampled_from(["0.5", "2", "3", "0.25", "x1", "x2", "x3", "sqrt(x2)", "1/x3"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(" ".join).map("({})".format),
+        st.tuples(st.sampled_from(ex.FUNCTIONS), inner).map("{0[0]}({0[1]})".format),
+        inner.map("({})^2".format), inner.map("-{}".format)),
+    max_leaves=5)
+# lambda-only subtrees: degree 1, or lambda-free with lambda^0
+_LAMBDA_ONLY = st.sampled_from(["lambda", "(lambda - 0.5)", "(0.25 + lambda*0.5)",
+                                "sqrt(0.3)*lambda", "(lambda^2)^0"])
+_BRANCH_F1 = st.tuples(st.one_of(_FREE, _LAMBDA_ONLY), _LAMBDA_ONLY, _FREE).map(
+    "{0[0]} + {0[1]} * {0[2]}".format)
+_GRID_VALUES = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                                  st.floats(-2.0, 2.0)), min_size=1, max_size=4)
+
+
+def _outcome(fn, *args):
+    """The repr of each item fn returns, or the type and message of what it
+    raised."""
+    try:
+        return [repr(point) for point in fn(*args)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestRowKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(_BRANCH_F1, _BRANCH_F1, st.one_of(st.just("0"), _FREE), _GRID_VALUES,
+           _GRID_VALUES)
+    def test_equals_reference_loop_bit_for_bit(self, f1_plus, f1_minus, g1, x2s, x3s):
+        sys = pf.PiecewiseSystem.from_strings((f1_plus, "1", "0"), (f1_minus, "0", "1"),
+                                              (g1, "0", "0"))
+        assert sys.lambda_degree is not None and sys.lambda_degree <= 2
+        # the grid point by point: points, or the exception, from each path
+        want = []
+        for x2 in x2s:
+            for x3 in x3s:
+                try:
+                    points = [CriticalPoint(*p) for p in reference_points(sys, x2, x3)]
+                except Exception as exc:
+                    reference = lambdas = type(exc), str(exc)
+                else:
+                    reference = [repr(p) for p in points]
+                    lambdas = [repr(p.lam) for p in points]
+                assert _outcome(critical_manifold, sys, [x2], [x3]) == reference
+                assert _outcome(pf.sliding_lambdas, sys, x2, x3) == lambdas
+                want.append(reference)
+        # the whole grid, x3 rows in one kernel call each: the points up to
+        # the first point that raises, and then its exception
+        raised = [w for w in want if isinstance(w, tuple)]
+        assert _outcome(critical_manifold, sys, x2s, x3s) == (
+            raised[0] if raised else [p for w in want for p in w])
+
+    def test_compiled_once_on_first_sweep(self, monkeypatch):
+        calls = []
+        generate = ex._generate
+
+        def counting(*args, **kwargs):
+            calls.append("kernel" if kwargs.get("template") else "field")
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "_generate", counting)
+        sys = normal_form(alpha=0.2)
+        sys.combined, sys.f1, sys.f1_dlambda, sys.lambda_degree
+        sys.branch_field(1), sys.branch_field(-1)
+        sys.surface_curvature((0.0, 0.1, 0.2), 1)
+        # (1/2, 0, -3 alpha) is a repelling layer equilibrium of the normal form
+        slow_u_dot(sys, SIGMOIDS[0], CriticalPoint(0.5, 0.0, -0.6, Stability.REPELLING))
+        assert calls and "kernel" not in calls
+        calls.clear()
+        grid = [-1.0, 0.0, 0.5]
+        first = critical_manifold(sys, grid, grid)
+        assert calls == ["kernel"]
+        assert critical_manifold(sys, grid, grid) == first
+        assert pf.sliding_lambdas(sys, 0.5, 0.5) == [p.lam for p in first
+                                                     if p[1:3] == (0.5, 0.5)]
+        assert calls == ["kernel"]
+
+    def test_too_deep_for_the_kernel_is_an_input_error(self):
+        # a 400-term sum nests deeper than Python's compiler allows
+        sys = pf.PiecewiseSystem.from_strings(("+".join(["x2"] * 400), "1", "0"),
+                                              ("x3", "0", "1"))
+        assert sys.lambda_degree == 2
+        for sweep in (lambda: critical_manifold(sys, [0.0], [0.0]),
+                      lambda: pf.sliding_lambdas(sys, 0.0, 0.0)):
+            with pytest.raises(ValidationError, match="too deeply nested to compile"):
+                sweep()
 
 
 class TestNonHyperbolicCurve:

@@ -160,6 +160,9 @@ def _error_cases(tmp: str):
     yield "grid_too_large", manifold + ["--x2=-1:1:100000", "--x3=-1:1:100000"] + out
     yield "lcurve_too_large", manifold + ["--x2=-1:1:3", "--x3=-1:1:3",
                                           "--lcurve-samples", "10000001"] + out
+    yield "lcurve_without_normal_form", ["manifold", _system_path("example_ii"),
+                                         "--x2=-1:1:3", "--x3=-1:1:3", "--lcurve-out",
+                                         os.path.join(tmp, "never.lcurve.csv")] + out
     yield "zero_division", ["simulate", zero_div, "--mode", "pws", "--t-end", "1",
                             "--x0", "1,0,0"] + out
     yield "integration_error", ["simulate", singular, "--mode", "pws", "--t-end", "2",
