@@ -37,19 +37,16 @@ _SAFETY = 0.9
 
 
 def hermite(t0, x0, f0, t1, x1, f1):
-    """Cubic Hermite interpolant of one accepted step, as a function of t.
+    """Cubic Hermite interpolant of one accepted step, as a function that
+    maps a sequence of times to the list of their states.
 
     The Horner coefficients of each component are computed once here; every
-    evaluation then costs three cubics in th = (t - t0) / (t1 - t0). The
-    returned at(t) gives one state, and at.each(ts) the states at a list of
-    times in one call, with the same values.
+    evaluation then costs three cubics in th = (t - t0) / (t1 - t0). One
+    state is a one-element call: at([t])[0].
     """
     h = t1 - t0
     if h == 0.0:
-        def at(t):
-            return x1
-        at.each = lambda ts: [x1] * len(ts)
-        return at
+        return lambda ts: [x1] * len(ts)
     a1, a2, a3 = x0
     p1, p2, p3 = f0
     q1, q2, q3 = f1
@@ -62,13 +59,7 @@ def hermite(t0, x0, f0, t1, x1, f1):
     e2 = -2.0 * d2 + h * (p2 + q2)
     e3 = -2.0 * d3 + h * (p3 + q3)
 
-    def at(t):
-        th = (t - t0) / h
-        return (a1 + th * (b1 + th * (c1 + th * e1)),
-                a2 + th * (b2 + th * (c2 + th * e2)),
-                a3 + th * (b3 + th * (c3 + th * e3)))
-
-    def each(ts):
+    def at(ts):
         # a loop, not a comprehension: before Python 3.12 a comprehension
         # costs a function call, and many steps carry one or two samples
         out = []
@@ -79,7 +70,6 @@ def hermite(t0, x0, f0, t1, x1, f1):
                         a3 + th * (b3 + th * (c3 + th * e3))))
         return out
 
-    at.each = each
     return at
 
 

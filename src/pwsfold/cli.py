@@ -227,6 +227,9 @@ def cmd_manifold(args) -> int:
     # bounds on the parsed counts, before any list is built
     if x2_spec[2] * x3_spec[2] > MAX_SAMPLES:
         raise ValidationError(f"--x2, --x3: COUNT x COUNT must not exceed {MAX_SAMPLES}")
+    # checked for every file, also one without the curve's normal_form block
+    if args.lcurve_samples < 2:
+        raise ValidationError("--lcurve-samples: need at least 2 samples")
     if args.lcurve_samples > MAX_SAMPLES:
         raise ValidationError(f"--lcurve-samples: must not exceed {MAX_SAMPLES}")
     points = critical_manifold(sf.system, _grid(*x2_spec), _grid(*x3_spec))
@@ -256,6 +259,8 @@ def _simulate(system: PiecewiseSystem, args, default_x0) -> int:
     to --t-end, trajectory CSV to --out, a summary line per run."""
     if not 0.0 < args.t_end < math.inf:
         raise ValidationError("--t-end: must be positive and finite")
+    if not 0.0 < args.stride < math.inf:
+        raise ValidationError("--stride: must be positive and finite")
     if args.eps is not None and not 0.0 < args.eps < math.inf:
         raise ValidationError("--eps: must be positive and finite")
     opts = sim.IntegratorOptions(dense_output_stride=args.stride)

@@ -534,7 +534,7 @@ _PRELUDE = ", ".join(f"{local}={local}" for local in _BINDINGS)
 
 
 def _generate(exprs,
-              binds: tuple[tuple[str, str | Expression], ...] | None = None,
+              binds: tuple[tuple[str, str], ...] | None = None,
               template: str | None = None) -> Callable:
     """Compile one expression, or a tuple of them, into a Python function.
 
@@ -543,9 +543,7 @@ def _generate(exprs,
     (t, x) as an integrator field: it unpacks x into x1, x2, x3, then
     assigns each name its source in order (lam among them), and computes
     each repeated subexpression once (_shared_source), as a field called 6
-    times per Runge-Kutta attempt repays. A source given as an expression
-    tree is printed by the plain printer, so no subexpression is shared
-    across binds, which may rebind lam. The other functions are compiled
+    times per Runge-Kutta attempt repays. The other functions are compiled
     often and called a few times each, so they keep the plain printer.
 
     Given template, the source of a function named _f whose parameters end
@@ -571,8 +569,7 @@ def _generate(exprs,
                 sources = _shared_source(items)
                 head = (f"def _f(t, x, {_PRELUDE}):\n"
                         "    x1, x2, x3 = x\n"
-                        + "".join(f"    {name} = {s if isinstance(s, str) else _py_source(s)}\n"
-                                  for name, s in binds))
+                        + "".join(f"    {name} = {s}\n" for name, s in binds))
             if isinstance(exprs, tuple):
                 result = "(" + ", ".join(sources) + ")"
             else:

@@ -26,8 +26,8 @@ from functools import cached_property, partial
 from typing import NamedTuple
 
 from . import expr as ex, roots
-from .exceptions import (EvaluationError, EventLimitError, SlidingResidualError,
-                         StepUnderflowError, ValidationError)
+from .exceptions import (EvaluationError, EventLimitError, IntegrationError,
+                         SlidingResidualError, StepUnderflowError, ValidationError)
 from ._rk import Dopri3
 from .roots import polish_bracketed_root
 
@@ -40,6 +40,8 @@ __all__ = [
 SURFACE_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
 MAX_SAMPLES = 10**7  # bound on t_end / dense_output_stride, the dense samples of a run
+# re-advances of one crossing step before _locate_crossing gives up
+_LOCATE_BUDGET = 60
 # nodes of the sliding-root scan, 64 subintervals of [-1, 1], for f1 beyond
 # quadratic in lambda
 _SCAN_NODES = tuple(-1.0 + 2.0 * i / 64 for i in range(65))
@@ -477,12 +479,13 @@ class _Recorder:
     def emit_through(self, t_hi: float, interpolant, mode: str | None = None) -> None:
         """Append the samples up to t_hi; mode None labels each by sign(x1).
 
-        interpolant() builds the step's t -> state function, whose states
-        are (lambda, x2, x3) in mode 'sliding'; it is called only when a
-        sample falls in the step, and its .each then evaluates all of them
-        in one call. A sample whose stride multiple rounds past t_hi is
-        taken at t_hi, once, so the end state or event record appended there
-        next replaces it instead of being dropped.
+        interpolant() builds the step's function from a sequence of times to
+        the list of their states, which are (lambda, x2, x3) in mode
+        'sliding'; it is built only when a sample falls in the step, and
+        then evaluates all of them in one call. A sample whose stride
+        multiple rounds past t_hi is taken at t_hi, once, so the end state
+        or event record appended there next replaces it instead of being
+        dropped.
         """
         k, stride = self.k, self.stride
         bound = t_hi + 1e-12 * max(1.0, abs(t_hi))
@@ -501,7 +504,7 @@ class _Recorder:
                 k += 1
                 t = k * stride
         self.k = k
-        states = interpolant().each(ts)
+        states = interpolant()(ts)
         n = len(ts)
         if mode == "sliding":
             self.traj.extend(ts, [(0.0, s[1], s[2]) for s in states], [mode] * n,
@@ -650,9 +653,12 @@ def _free_leg(sys, t, x, region, t_end, opts, traj, rec, h):
 def _locate_crossing(stepper: Dopri3, region: int, interp) -> float:
     """Move the stepper so its state sits on x1 = 0 to SURFACE_TOL.
 
-    interp is the interpolant of the step that crossed; it gives the first
-    guess. Each later guess re-advances from that step's start, (t_prev,
-    x_prev, f_prev), whose first attempt is then the whole way to the guess.
+    interp is the interpolant of the step that crossed; the Illinois root
+    of its x1 is the first guess. Each guess re-advances from that step's
+    start, (t_prev, x_prev, f_prev), whose first attempt is then the whole
+    way to the guess; the next guess is a Newton step on the x1 and x1'
+    reached. A zero x1', or _LOCATE_BUDGET re-advances that all miss the
+    surface, raise IntegrationError naming the step.
     """
     lo, hi = stepper.t_prev, stepper.t
     g_lo, g_hi = stepper.x_prev[0], stepper.x[0]
@@ -662,29 +668,23 @@ def _locate_crossing(stepper: Dopri3, region: int, interp) -> float:
     start = (stepper.t_prev, stepper.x_prev, stepper.f_prev, hi - lo)
 
     def gh(tt):
-        return interp(tt)[0]
+        return interp((tt,))[0][0]
 
     guess = polish_bracketed_root(gh, lo, hi, g_lo, g_hi, residual_tol=0.0) \
         if g_lo * g_hi < 0.0 else hi
 
-    for _ in range(60):
+    for _ in range(_LOCATE_BUDGET):
         stepper.t, stepper.x, stepper.f, stepper.h = start
         stepper.advance_to(guess)
-        val = stepper.x[0]
+        val, deriv = stepper.x[0], stepper.f[0]
         if abs(val) <= SURFACE_TOL:
             return stepper.t
-        if g_lo * val < 0.0:
-            hi, g_hi = guess, val
-        else:
-            lo, g_lo = guess, val
-        deriv = stepper.f[0]
-        nxt = guess - val / deriv if deriv != 0.0 else 0.5 * (lo + hi)
-        if not (lo < nxt < hi):
-            nxt = 0.5 * (lo + hi)
-        if hi - lo <= math.ulp(max(abs(lo), abs(hi), 1.0)):
-            return stepper.t
-        guess = nxt
-    return stepper.t
+        if deriv == 0.0:
+            break
+        guess -= val / deriv
+    raise IntegrationError(
+        f"crossing in the step from t = {lo!r} to {hi!r} not located to "
+        f"|x1| <= {SURFACE_TOL!r}: x1 = {val!r}, x1' = {deriv!r} at t = {stepper.t!r}")
 
 
 def _resolve_tangency(sys, x) -> int:
@@ -714,6 +714,8 @@ def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h):
 
     Each accepted step and each dense sample is put back on f1 = 0 by one
     Newton step in lambda, the exit by up to 30, to |f1| <= RESIDUAL_TOL.
+    interpolant() is the step's hermite interpolant with each state so
+    projected; the exit is found by bisection in t on one-time calls of it.
     """
     x2, x3 = x[1], x[2]
     f1, f1_dlam = sys.f1, sys.f1_dlambda
@@ -729,12 +731,7 @@ def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h):
 
     def interpolant():
         at = stepper.interpolant()
-
-        def projected(tt):
-            return project(at(tt))
-
-        projected.each = lambda ts: [project(s) for s in at.each(ts)]
-        return projected
+        return lambda ts: [project(s) for s in at(ts)]
 
     stepper = Dopri3(sys._sliding_field, t, (lam, x2, x3), rtol=opts.rel_tol,
                      atol=opts.abs_tol, max_steps=opts.max_steps, h=h)
@@ -755,13 +752,13 @@ def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h):
         lo, hi = stepper.t_prev, stepper.t
         while hi - lo > 1e-9 * max(1.0, abs(hi)):
             mid = 0.5 * (lo + hi)
-            if left(at(mid)):
+            if left(at((mid,))[0]):
                 hi = mid
             else:
                 lo = mid
-        if abs(at(hi)[0]) < 1.0:
+        if abs(at((hi,))[0][0]) < 1.0:
             hi = lo  # past a fold f1 = 0 has no root nearby: exit before it
-        t_ev, s = hi, at(hi)
+        t_ev, (s,) = hi, at((hi,))
         rec.emit_through(t_ev, lambda: at, "sliding")
         break
     else:  # t_end reached without an exit

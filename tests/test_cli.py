@@ -283,12 +283,15 @@ class TestInputChecks:
         # example_ii has expression fields, no normal_form block, so no curve
         (None, _GRID + ["--lcurve-out={tmp}/l.csv"], "--lcurve-out",
          "the non-hyperbolic curve needs a system file with a normal_form block"),
+        # checked although example_ii draws no curve
+        (None, _GRID + ["--lcurve-samples=-5"], "--lcurve-samples", "need at least 2 samples"),
+        (None, _PWS + ["--stride=0"], "--stride", "must be positive and finite"),
     ], ids=["top_level", "normal_form", "number", "alpha", "sign", "missing",
             "length", "string", "grid_parts", "grid_count", "x0_parts", "x0_value",
-            "lcurve_without_normal_form"])
+            "lcurve_without_normal_form", "lcurve_too_small", "stride_zero"])
     def test_exit_2_names_it_and_writes_nothing(self, tmp_path, capsys, doc, flags, flag,
                                                 message):
-        command = "simulate" if flag == "--x0" else "manifold"
+        command = "simulate" if flag in ("--x0", "--stride") else "manifold"
         if doc is None:
             path = bundled("invisible_db.json" if flag in ("--x2", "--x3")
                            else "example_ii.json")
@@ -399,7 +402,7 @@ class TestSimulate:
         out = tmp_path / "s.csv"
         assert run(["examples", "ii", "--mode", "pws", "--t-end", "1",
                     "--stride", stride, "--out", str(out)]) == 2
-        assert "dense_output_stride" in capsys.readouterr().err
+        assert "error: --stride: must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_too_many_samples_exit_2(self, tmp_path):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import pwsfold as pf
-from pwsfold import expr as ex
+from pwsfold import cli, expr as ex
 from pwsfold.cli import load_system_file
-from pwsfold.exceptions import SlidingResidualError, StepUnderflowError, ValidationError
+from pwsfold.exceptions import (IntegrationError, SlidingResidualError, StepUnderflowError,
+                                ValidationError)
 from pwsfold._rk import hermite
 from pwsfold.pws import PwsOptions, _Recorder, _resolve_tangency
 from pwsfold.roots import real_quadratic_roots
@@ -505,6 +506,31 @@ class TestLegRestart:
         assert sum(s.nsteps for s in steppers) <= 900
 
 
+class TestLocateCrossing:
+    def test_spent_budget_raises(self, monkeypatch, capsys):
+        # most crossings of this run are placed by the second re-advance
+        monkeypatch.setattr(pf.pws, "_LOCATE_BUDGET", 1)
+        with pytest.raises(IntegrationError, match="not located") as info:
+            pf.integrate_pws(pf.example_system("ii"), (0.1, 0.1, 0.1), 10.0)
+        assert info.type is IntegrationError
+        path = os.path.join(SYSTEMS_DIR, "example_ii.json")
+        assert cli.main(["simulate", path, "--mode", "pws", "--x0", "0.1,0.1,0.1",
+                         "--t-end", "10"]) == 3
+        err = capsys.readouterr().err
+        assert "IntegrationError" in err and f"(system file: {path})" in err
+
+    def test_crossing_with_zero_slope(self):
+        # on f+, x1 = -(t - 1/2)^3 / 3: the flow meets x1 = 0 where x1' = -x2^2 = 0
+        sys = pf.PiecewiseSystem.from_strings(("-x2^2", "1", "0"), ("-1", "1", "0"))
+        traj = pf.integrate_pws(sys, (0.125 / 3, -0.5, 0.0), 1.0)
+        assert traj.events == 1
+        i = traj.modes.index("crossing")
+        assert traj.times[i] == pytest.approx(0.5000006, abs=1e-7)
+        assert traj.states[i][0] == 0.0
+        assert traj.states[i][1] == pytest.approx(6.1e-7, rel=0.01)
+        assert set(traj.modes[:i]) == {"free+"} and set(traj.modes[i + 1:]) == {"free-"}
+
+
 class TestSurfaceDecision:
     # f1 = lambda - 2 lambda^3: roots -1/sqrt(2) and 1/sqrt(2) attract
     # (df1/dlambda = -2), 0 repels (df1/dlambda = 1); the slide stays put
@@ -677,14 +703,14 @@ def test_trajectory_times_strictly_increasing():
 
 def per_sample_emit(traj, k, stride, t_hi, at, mode=None):
     """The dense-output recorder one sample at a time (the reference):
-    appends the samples up to t_hi of the step's t -> state function at,
-    and returns the next stride index."""
+    appends the samples up to t_hi of the step's interpolant at, called
+    with one time at a time, and returns the next stride index."""
     bound = t_hi + 1e-12 * max(1.0, abs(t_hi))
     t = k * stride
     while t <= bound:
         if t > t_hi:
             t = t_hi
-        s = at(t)
+        (s,) = at([t])
         if mode == "sliding":
             traj.append(t, (0.0, s[1], s[2]), mode, s[0])
         else:
@@ -706,10 +732,8 @@ class TestRecorder:
         if project is not None:
             raw = at
 
-            def at(t):
-                return project(raw(t))
-
-            at.each = lambda ts: [project(s) for s in raw.each(ts)]
+            def at(ts):
+                return [project(s) for s in raw(ts)]
         out = []
         for batched in (True, False):
             traj = pf.Trajectory()

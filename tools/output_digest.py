@@ -156,10 +156,14 @@ def _error_cases(tmp: str):
                                "--eps", "-1", "--t-end", "1"] + out
     yield "stride_too_small", ["examples", "ii", "--eps", "1e-3", "--t-end", "0.1",
                                "--stride", "1e-300"] + out
+    yield "stride_zero", ["examples", "ii", "--eps", "1e-3", "--t-end", "1",
+                          "--stride", "0"] + out
     manifold = ["manifold", _system_path("invisible_db")]
     yield "grid_too_large", manifold + ["--x2=-1:1:100000", "--x3=-1:1:100000"] + out
     yield "lcurve_too_large", manifold + ["--x2=-1:1:3", "--x3=-1:1:3",
                                           "--lcurve-samples", "10000001"] + out
+    yield "lcurve_too_small", manifold + ["--x2=-1:1:3", "--x3=-1:1:3",
+                                          "--lcurve-samples", "1"] + out
     yield "lcurve_without_normal_form", ["manifold", _system_path("example_ii"),
                                          "--x2=-1:1:3", "--x3=-1:1:3", "--lcurve-out",
                                          os.path.join(tmp, "never.lcurve.csv")] + out
