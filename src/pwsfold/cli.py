@@ -5,6 +5,10 @@ definitions are JSON files (expression fields or a normal_form block);
 reports are JSON on stdout, bulk numeric output is CSV. Exit codes: 0
 success; 2 input error, a ValidationError; 3 any other failure, a failure
 to compute, whose message names the system file.
+
+simulate and examples run several --x0 starts on up to one process per CPU
+in os.sched_getaffinity, the children forked from this one (_batch); the
+files, summaries and errors are those of running the starts in turn.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from . import sim
 from .exceptions import PwsfoldError, ValidationError
 from .expr import to_text
-from .pws import MAX_SAMPLES, PiecewiseSystem, Trajectory, integrate_pws
+from .pws import MAX_SAMPLES, PiecewiseSystem, integrate_pws
 from .regularize import (Sigmoid, builtin_sigmoid, critical_manifold,
                          critical_manifold_csv, nonhyperbolic_curve,
                          nonhyperbolic_curve_csv, SIGMOID_NAMES)
@@ -245,15 +249,6 @@ def cmd_manifold(args) -> int:
     return 0
 
 
-def _simulate_one(system: PiecewiseSystem, args, x0, opts) -> Trajectory:
-    if args.mode == "regularized":
-        if args.eps is None:
-            raise ValidationError("--eps: required in regularized mode")
-        return sim.regularized_trajectory(system, builtin_sigmoid(args.sigmoid),
-                                          args.eps, x0, args.t_end, opts)
-    return integrate_pws(system, x0, args.t_end, opts)
-
-
 def _simulate(system: PiecewiseSystem, args, default_x0) -> int:
     """Run simulate or examples: each --x0 (default_x0 when none is given)
     to --t-end, trajectory CSV to --out, a summary line per run."""
@@ -269,19 +264,31 @@ def _simulate(system: PiecewiseSystem, args, default_x0) -> int:
     x0s = [_parse_x0(s) for s in args.x0] or [default_x0]
     if len(x0s) > 1 and (args.out is None or args.out == "-"):
         raise ValidationError("--out: required when several --x0 are given")
+    if args.mode == "regularized" and args.eps is None:
+        raise ValidationError("--eps: required in regularized mode")
 
-    # all runs before any write, so a failed start leaves no output file
-    trajs = [_simulate_one(system, args, x0, opts) for x0 in x0s]
-    for i, traj in enumerate(trajs):
-        if len(trajs) == 1:
+    def run_start(x0) -> tuple[str, str]:
+        if args.mode == "regularized":
+            traj = sim.regularized_trajectory(system, builtin_sigmoid(args.sigmoid),
+                                              args.eps, x0, args.t_end, opts)
+        else:
+            traj = integrate_pws(system, x0, args.t_end, opts)
+        return sim.trajectory_csv(traj), (
+            f"events={traj.events} final=({traj.final_state[0]:.6g},"
+            f"{traj.final_state[1]:.6g},{traj.final_state[2]:.6g}) "
+            f"non_unique={str(traj.non_unique).lower()}")
+
+    # all runs before any write, so a failed start leaves no output file;
+    # imported here, as only simulate and examples run batches
+    from ._batch import run_batch
+    outputs = run_batch(run_start, x0s)
+    for i, (text, summary) in enumerate(outputs):
+        if len(outputs) == 1:
             out = args.out
         else:
             root, ext = os.path.splitext(args.out)
             out = f"{root}.{i}{ext or '.csv'}"
-        _write_text(out, sim.trajectory_csv(traj))
-        summary = (f"events={traj.events} final=({traj.final_state[0]:.6g},"
-                   f"{traj.final_state[1]:.6g},{traj.final_state[2]:.6g}) "
-                   f"non_unique={str(traj.non_unique).lower()}")
+        _write_text(out, text)
         stream = _sys.stderr if out in (None, "-") else _sys.stdout
         stream.write(summary + "\n")
     return 0

@@ -1,7 +1,10 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import jsonschema
 import pytest
@@ -347,27 +350,58 @@ class TestSimulate:
         assert run(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_batch_x0_matches_single_runs(self, tmp_path):
+    @staticmethod
+    def check_batch_matches_single_runs(tmp_path):
+        # five starts: more than this host's CPUs, or than the three of
+        # test_batch_on_three_cpus, so some process runs two or more
         argv = ["simulate", bundled("section6_linear.json"), "--mode", "pws",
                 "--t-end", "1"]
-        starts = ["0.5,0,0", "0.25,0,0"]
-        assert run(argv + ["--x0", starts[0], "--x0", starts[1],
-                           "--out", str(tmp_path / "batch.csv")]) == 0
+        starts = ["0.5,0,0", "0.25,0,0", "0.1,0.2,-0.3", "-0.5,0.1,0.1", "0.3,-0.2,0"]
+        assert run(argv + [f"--x0={x0}" for x0 in starts]
+                   + ["--out", str(tmp_path / "batch.csv")]) == 0
         for i, x0 in enumerate(starts):
             single = tmp_path / f"single{i}.csv"
-            assert run(argv + ["--x0", x0, "--out", str(single)]) == 0
+            assert run(argv + [f"--x0={x0}", "--out", str(single)]) == 0
             assert (tmp_path / f"batch.{i}.csv").read_bytes() == single.read_bytes()
 
-    def test_batch_failure_writes_nothing(self, tmp_path, capsys):
-        # the second start hits the 1/x1 singularity of test_numerical_failure_exit_3
+    def test_batch_x0_matches_single_runs(self, tmp_path):
+        self.check_batch_matches_single_runs(tmp_path)
+
+    def test_batch_on_three_cpus(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        self.check_batch_matches_single_runs(tmp_path)
+
+    def test_batch_failure_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # the second start hits the 1/x1 singularity of test_numerical_failure_exit_3;
+        # with two CPUs it runs in a forked child
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         path = write_json(tmp_path, "sing.json", {
             "fplus": ["-1/x1", "0", "0"], "fminus": ["1", "0", "0"]})
         out = tmp_path / "out"
         out.mkdir()
-        code = run(["simulate", path, "--mode", "pws", "--t-end", "2",
-                    "--x0=-5,0,0", "--x0", "1,0,0", "--out", str(out / "b.csv")])
+        argv = ["simulate", path, "--mode", "pws", "--t-end", "2"]
+        code = run(argv + ["--x0=-5,0,0", "--x0", "1,0,0", "--out", str(out / "b.csv")])
+        batch = capsys.readouterr()
         assert code == 3
         assert list(out.iterdir()) == []
+        assert run(argv + ["--x0", "1,0,0", "--out", str(tmp_path / "alone.csv")]) == 3
+        assert (batch.out, batch.err) == ("", capsys.readouterr().err)
+
+    def test_first_failure_in_start_order(self, tmp_path, capsys, monkeypatch):
+        # start 1 (a child's) fails at t = 0.5, start 2 (this process's) at
+        # t = 1.125: the batch reports start 1, as one process would
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        path = write_json(tmp_path, "sing.json", {
+            "fplus": ["-1/x1", "0", "0"], "fminus": ["1", "0", "0"]})
+        argv = ["simulate", path, "--mode", "pws", "--t-end", "2",
+                "--out", str(tmp_path / "b.csv")]
+        assert run(argv + ["--x0=-5,0,0", "--x0=1,0,0", "--x0=1.5,0,0"]) == 3
+        batch = capsys.readouterr().err
+        assert run(argv + ["--x0=1,0,0"]) == 3
+        assert batch == capsys.readouterr().err
+        assert "t=0.5" in batch
+        assert run(argv + ["--x0=1.5,0,0"]) == 3
+        assert "t=1.12" in capsys.readouterr().err
 
     @pytest.mark.parametrize("x0", ["nan,0,0", "0,inf,0"])
     def test_non_finite_x0_exit_2(self, tmp_path, capsys, x0):
@@ -463,6 +497,99 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ZeroDivisionError")
         assert err.endswith(f"(system file: {path})\n")
+
+
+def forbid_fork(*args, **kwargs):
+    raise AssertionError("the batch forked")
+
+
+class TestBatchWorkers:
+    """A batch's starts run on one process per usable CPU, forked; every
+    child is joined before main returns, and none is forked where that is
+    unsafe or pointless."""
+
+    ARGV = ["simulate", bundled("section6_linear.json"), "--mode", "pws",
+            "--t-end", "1", "--x0=0.5,0,0", "--x0=0.25,0,0", "--x0=0.1,0.2,-0.3"]
+
+    def test_starts_run_in_residue_classes(self, tmp_path, monkeypatch):
+        # two CPUs: this process runs starts 0 and 2, one child start 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(sim, "trajectory_csv", lambda traj: str(os.getpid()))
+        assert run(self.ARGV + ["--out", str(tmp_path / "b.csv")]) == 0
+        pids = [(tmp_path / f"b.{i}.csv").read_text() for i in range(3)]
+        assert pids[0] == pids[2] == str(os.getpid()) != pids[1]
+
+    def test_no_child_outlives_a_batch(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert run(self.ARGV + ["--out", str(tmp_path / "ok.csv")]) == 0
+        assert multiprocessing.active_children() == []
+        path = write_json(tmp_path, "sing.json", {
+            "fplus": ["-1/x1", "0", "0"], "fminus": ["1", "0", "0"]})
+        assert run(["simulate", path, "--mode", "pws", "--t-end", "2", "--x0=-5,0,0",
+                    "--x0=1,0,0", "--out", str(tmp_path / "fail.csv")]) == 3
+        assert multiprocessing.active_children() == []
+
+    def test_unwinding_terminates_children(self, tmp_path, monkeypatch):
+        # Ctrl-C in this process while its children are still busy: they
+        # are terminated and joined, not waited for
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        parent = os.getpid()
+
+        def integrate(system, x0, t_end, opts):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(cli, "integrate_pws", integrate)
+        began = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run(self.ARGV + ["--out", str(tmp_path / "b.csv")])
+        assert time.monotonic() - began < 30
+        assert multiprocessing.active_children() == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dead_child_starts_rerun_here(self, tmp_path, monkeypatch):
+        # a child killed mid-batch sends nothing; its starts run here instead
+        assert run(self.ARGV + ["--out", str(tmp_path / "ref.csv")]) == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        parent, integrate = os.getpid(), cli.integrate_pws
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return integrate(*args)
+
+        monkeypatch.setattr(cli, "integrate_pws", dying)
+        assert run(self.ARGV + ["--out", str(tmp_path / "b.csv")]) == 0
+        for i in range(3):
+            assert (tmp_path / f"b.{i}.csv").read_bytes() == \
+                (tmp_path / f"ref.{i}.csv").read_bytes()
+
+    def test_one_cpu_forks_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(multiprocessing, "get_context", forbid_fork)
+        assert run(self.ARGV + ["--out", str(tmp_path / "b.csv")]) == 0
+        assert len(list(tmp_path.iterdir())) == 3
+
+    def test_no_affinity_forks_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(multiprocessing, "get_context", forbid_fork)
+        assert run(self.ARGV + ["--out", str(tmp_path / "b.csv")]) == 0
+        assert len(list(tmp_path.iterdir())) == 3
+
+    def test_live_thread_forks_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(multiprocessing, "get_context", forbid_fork)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            assert run(self.ARGV + ["--out", str(tmp_path / "b.csv")]) == 0
+        finally:
+            release.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        assert len(list(tmp_path.iterdir())) == 3
 
 
 class TestFailureRule:

@@ -11,7 +11,8 @@ from pwsfold import expr as ex
 from pwsfold.cli import load_system_file
 from pwsfold.exceptions import (DegenerateClassificationError,
                                 DegenerateSystemError)
-from pwsfold.regularize import builtin_sigmoid
+from pwsfold.pws import Stability
+from pwsfold.regularize import builtin_sigmoid, critical_manifold
 from pwsfold.twofold import (Canard, Flavour, FoldedClass, TwoFoldParams,
                              build_normal_form, canonical_coefficients,
                              canonical_fit, classify_folded, classify_twofold,
@@ -264,17 +265,11 @@ class TestFoldedReports:
                              "determinacy_breaking"}
 
 
-def sliding_side_class(p: TwoFoldParams, report) -> FoldedClass:
-    """Class of the folded point from the desingularized sliding flow.
-
-    On S = {f1(0, x2, x3, lambda) = 0} the flow (x2, x3, lambda)' =
-    (-df1/dlambda f2, -df1/dlambda f3, df1/dx2 f2 + df1/dx3 f3) has the
-    folded point as an equilibrium. Its Jacobian, by central differences and
-    restricted to the tangent plane of S spanned by (0, 0, 1) and
-    (-df1/dx3, df1/dx2, 0), is classified by its determinant and trace. No
-    closed form and no canonical fit enter.
-    """
-    sys = build_normal_form(p)
+def desingularized_flow(sys):
+    """(x2, x3, lambda) -> (x2, x3, lambda)' of the desingularized sliding
+    flow on S = {f1(0, x2, x3, lambda) = 0}: (-df1/dlambda f2,
+    -df1/dlambda f3, df1/dx2 f2 + df1/dx3 f3), the sliding field times
+    -df1/dlambda, which is finite at folds."""
     dlam, (_, d2, d3) = sys.f1_dlambda, sys.f1_gradient
 
     def flow(v):
@@ -284,6 +279,22 @@ def sliding_side_class(p: TwoFoldParams, report) -> FoldedClass:
         return (-d * f2, -d * f3,
                 d2(0.0, x2, x3, lam) * f2 + d3(0.0, x2, x3, lam) * f3)
 
+    return flow
+
+
+def sliding_side_class(p: TwoFoldParams, report) -> FoldedClass:
+    """Class of the folded point from the desingularized sliding flow.
+
+    The flow has the folded point as an equilibrium. Its Jacobian, by
+    central differences and restricted to the tangent plane of S spanned by
+    (0, 0, 1) and (-df1/dx3, df1/dx2, 0), is classified by its determinant
+    and trace. No closed form and no canonical fit enter. The time
+    rescaling -df1/dlambda is positive on the attracting sheet and negative
+    on the repelling one (test_time_rescaling_sign).
+    """
+    sys = build_normal_form(p)
+    _, d2, d3 = sys.f1_gradient
+    flow = desingularized_flow(sys)
     point = (report.x2s, report.x3s, report.phi_s)
     h = 1e-6
     columns = []
@@ -321,6 +332,37 @@ class TestSlidingSideClass:
                 assert sliding_side_class(params, report) is report.folded_class
                 classes.add(report.folded_class)
         assert len(classes) >= 2
+
+    @pytest.mark.parametrize("name", ["invisible_db", "visible_db", "mixed_db"])
+    def test_time_rescaling_sign(self, name):
+        # on an 11 x 11 grid of spacing 0.01 about each folded point, at the
+        # critical points within 0.2 of its lambda: the desingularized flow
+        # is the sliding field times -df1/dlambda, and that factor is
+        # positive where the layer flow attracts to the root (f1 falls
+        # through 0 as lambda rises) and negative where it repels
+        path = os.path.join(os.path.dirname(pf.__file__), "systems", f"{name}.json")
+        params = load_system_file(path).normal_form
+        sys = build_normal_form(params)
+        flow = desingularized_flow(sys)
+        for report in folded_reports(params, TANH):
+            sides = set()
+            grid2 = [report.x2s + 0.01 * i for i in range(-5, 6)]
+            grid3 = [report.x3s + 0.01 * i for i in range(-5, 6)]
+            for lam, x2, x3, stability in critical_manifold(sys, grid2, grid3):
+                factor = -sys.f1_dlambda(0.0, x2, x3, lam)
+                if abs(lam - report.phi_s) > 0.2 or abs(factor) < 1e-6:
+                    continue
+                lam_dot, x2_dot, x3_dot = sys._sliding_field(0.0, (lam, x2, x3))
+                assert flow((x2, x3, lam)) == pytest.approx(
+                    (factor * x2_dot, factor * x3_dot, factor * lam_dot), rel=1e-12)
+                below = sys.f1(0.0, x2, x3, lam - 1e-7)
+                above = sys.f1(0.0, x2, x3, lam + 1e-7)
+                attracting = below > 0.0 > above
+                assert attracting or below < 0.0 < above
+                assert (factor > 0.0) is attracting
+                assert (stability is Stability.ATTRACTING) is attracting
+                sides.add(attracting)
+            assert sides == {True, False}, report
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from((-1, 1)), st.sampled_from((-1, 1)),

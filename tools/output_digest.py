@@ -12,10 +12,13 @@ examples i-iii at eps 1e-3 with each built-in sigmoid, and at eps 1e-4 and
 1e-5; the manifold CSV, with its non-hyperbolic curve, of a bundled normal
 form and of one with another alpha (the only parameter that shapes a normal
 form's manifold), and the manifold CSV of the lambda-cubic system (the
-root-scan path); the CSV of a regularized `examples` run; and the JSON
-that the CLI's classify, fit and folded commands write for the bundled
-normal forms; the exit code, standard output and standard error of failing
-CLI calls, one per error path (temporary paths replaced by a fixed token).
+root-scan path); the CSV of a regularized `examples` run; the exit code,
+standard output and CSVs of a 3-start `simulate` batch, whose starts run in
+forked processes on a host with more than one CPU; the JSON that the CLI's
+classify, fit and folded commands write for the bundled normal forms; and
+the exit code, standard output and standard error of failing CLI calls, one
+per error path and one for a batch whose failing start runs in a child
+(temporary paths replaced by a fixed token).
 Then the critical-manifold quantities, as float.hex text: surface_curvature
 of every bundled system on both sides of a grid of surface points, and
 slow_u_dot, degeneracy_probe and folded_conditions_residuals of the bundled
@@ -83,6 +86,8 @@ SMALL_EPS_CASES = (
     ("ii", 1e-5, 10.0, "cubic"),
     ("iii", 1e-4, 16.0, "tanh"),
 )
+# Starts of the CLI batch, one per process on a host with 3+ CPUs.
+BATCH_X0 = ("0.1,-0.5,0.5", "-0.5,0.5,0.5", "0.5,1,1")
 NORMAL_FORMS = ("invisible_db", "visible_db", "mixed_db")
 BUNDLED = ("example_i", "example_ii", "example_iii", "invisible_db", "mixed_db",
            "section6_linear", "section6_nonlinear", "visible_db")
@@ -99,13 +104,17 @@ def _sha(data: str | bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _cli_output(argv, out: str) -> bytes:
-    """Exit code, standard output and the file written to --out."""
+def _cli_output(argv, out: str, files=None) -> bytes:
+    """Exit code, standard output and the files written: the one named by
+    --out, or each of files in turn."""
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
         code = cli.main(argv + ["--out", out])
-    with open(out, "rb") as fh:
-        return f"exit={code}\n{printed.getvalue()}".encode() + fh.read()
+    data = f"exit={code}\n{printed.getvalue()}".encode()
+    for path in files or [out]:
+        with open(path, "rb") as fh:
+            data += fh.read()
+    return data
 
 
 def _cli_error(argv, tmp: str) -> bytes:
@@ -172,6 +181,9 @@ def _error_cases(tmp: str):
     yield "integration_error", ["simulate", singular, "--mode", "pws", "--t-end", "2",
                                 "--x0", "1,0,0"] + out
     yield "math_domain", ["manifold", math_domain, "--x2=1:-1:3", "--x3=-1:1:3"] + out
+    # the failing second start runs in a forked child on a host with 2+ CPUs
+    yield "batch_failure", ["simulate", singular, "--mode", "pws", "--t-end", "2",
+                            "--x0=-5,0,0", "--x0=1,0,0"] + out
 
 
 def _hex_or_error(fn, *args) -> str:
@@ -243,6 +255,12 @@ def digests():
             yield f"cli/manifold/{name}", _sha(manifold)
         yield ("cli/examples/iii/eps=1e-3/t=5",
                _sha(_cli_output(["examples", "iii", "--eps", "1e-3", "--t-end", "5"], out)))
+        batch = os.path.join(tmp, "batch.csv")
+        yield ("cli/simulate/batch",
+               _sha(_cli_output(["simulate", _system_path("example_ii"), "--mode", "pws",
+                                 "--t-end", "5"] + [f"--x0={x0}" for x0 in BATCH_X0],
+                                batch, [os.path.join(tmp, f"batch.{i}.csv")
+                                        for i in range(len(BATCH_X0))])))
         for name in NORMAL_FORMS:
             for command in ("classify", "fit", "folded"):
                 yield (f"cli/{command}/{name}",
