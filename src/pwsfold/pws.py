@@ -488,7 +488,8 @@ class _Recorder:
         dropped.
         """
         k, stride = self.k, self.stride
-        bound = t_hi + 1e-12 * max(1.0, abs(t_hi))
+        a = abs(t_hi)
+        bound = t_hi + 1e-12 * (a if a > 1.0 else 1.0)  # max(1.0, |t_hi|)
         t = k * stride
         if t > bound:
             return

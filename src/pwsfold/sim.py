@@ -65,7 +65,10 @@ def regularized_trajectory(sys: PiecewiseSystem, s: Sigmoid, eps: float,
     # fill the lambda column where the sample sits in the layer
     for i, state in enumerate(traj.states):
         if abs(state[0]) <= eps:
-            traj.lambdas[i] = min(1.0, max(-1.0, s.value(state[0] / eps)))
+            # min(1.0, max(-1.0, value)) without the builtin calls
+            lam = s.value(state[0] / eps)
+            lam = lam if lam > -1.0 else -1.0
+            traj.lambdas[i] = lam if lam < 1.0 else 1.0
     return traj
 
 

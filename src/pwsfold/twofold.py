@@ -113,6 +113,10 @@ def classify_twofold(p: TwoFoldParams) -> TwoFoldClass:
         db = b1 < 0 and b2 < 0 and b1 * b2 > 1
     else:
         flavour = Flavour.MIXED
+        # the inequality is stated for (a1, a2) = (-1, 1); the side swap
+        # (x1 -> -x1, x2 <-> x3) maps (1, -1, b1, b2) onto (-1, 1, b2, b1)
+        if p.a1 == 1:
+            b1, b2 = b2, b1
         db = (b1 < 0 < b2 and b1 * b2 < -1) or (b1 + b2 < 0 and b1 - b2 < -2)
     return TwoFoldClass(flavour, db)
 

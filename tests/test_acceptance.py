@@ -130,6 +130,7 @@ def test_criterion_5_flavour_to_folded_class():
         # one saddle and one node (recorded for these parameters)
         mixed = folded_reports(TwoFoldParams(1, -1, -1.0, -4.0, 0.2), TANH)
         assert len(mixed) == 2
+        assert mixed[0].determinacy_breaking
         classes = sorted(r.folded_class.value for r in mixed)
         assert classes == ["folded_node", "folded_saddle"]
         mirror = folded_reports(TwoFoldParams(-1, 1, -4.0, -1.0, 0.2), TANH)

@@ -104,6 +104,7 @@ class TestClassify:
     def test_mixed_db_pairing(self, capsys):
         assert run(["classify", bundled("mixed_db.json")]) == 0
         report = json.loads(capsys.readouterr().out)
+        assert report["determinacy_breaking"] is True
         classes = sorted(p["folded_class"] for p in report["folded_points"])
         assert classes == ["folded_node", "folded_saddle"]
 

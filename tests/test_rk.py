@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pwsfold._rk import Dopri3, hermite
-from pwsfold.exceptions import StepUnderflowError
+from pwsfold.exceptions import StepBudgetError, StepUnderflowError
 from pwsfold.pws import IntegratorOptions, integrate_pws
 from pwsfold.regularize import builtin_sigmoid, compile_regularized_field
 from pwsfold.sim import example_system, run_example
@@ -83,6 +83,21 @@ def layer_stepper(rtol=None):
     return Dopri3(wrapped, 0.0, (0.1, 0.1, 0.1), **tol), calls
 
 
+def nan_seventh_stage():
+    """A field that is NaN on each attempt's seventh stage (call 1 + 6j + 6)
+    and constant elsewhere, and the list of that stage's times."""
+    calls, sevenths = [0], []
+
+    def field(t, x):
+        calls[0] += 1
+        if calls[0] > 1 and calls[0] % 6 == 1:
+            sevenths.append(t)
+            return (math.nan, 0.0, 0.0)
+        return (1.0, 1.0, 1.0)
+
+    return field, sevenths
+
+
 class TestStepper:
     @pytest.mark.parametrize("rtol", [None, 1e-3])
     def test_field_calls_are_one_plus_six_per_attempt(self, rtol):
@@ -126,3 +141,46 @@ class TestStepper:
         assert stepper.t < 0.5
         assert all(math.isfinite(v) for v in stepper.x + stepper.f)
         assert stepper.x[0] == pytest.approx(stepper.t, abs=1e-12)
+
+    def test_nan_error_estimate_shrinks_the_step_by_min_factor(self):
+        # the seventh stage of every attempt is NaN, so the end state is
+        # finite but the error estimate is NaN: max(0.2, NaN) is 0.2
+        field, sevenths = nan_seventh_stage()
+        stepper = Dopri3(field, 0.0, (0.0, 0.0, 0.0), h=1.0)
+        with pytest.raises(StepUnderflowError):
+            stepper.advance_to(1.0)
+        # from t = 0 the seventh stage sits at t + h = h
+        assert len(sevenths) == stepper.nsteps > 20
+        assert sevenths[0] == 1.0
+        assert all(b == 0.2 * a for a, b in zip(sevenths, sevenths[1:]))
+        assert stepper.t == 0.0
+
+
+class TestStepCounter:
+    """nsteps counts an attempt before its first field call, so a caller
+    that reads it after an exception sees every attempt made."""
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_field_error_passes_through_with_its_attempt_counted(self, n):
+        calls = [0]
+
+        def field(t, x):
+            calls[0] += 1
+            if calls[0] == 1 + 6 * (n - 1) + 3:  # third call of attempt n
+                raise ZeroDivisionError("field")
+            return (x[1], -x[0], 1.0)
+
+        stepper = Dopri3(field, 0.0, (1.0, 0.0, 0.0))
+        with pytest.raises(ZeroDivisionError, match="field"):
+            stepper.advance_to(10.0)
+        assert stepper.nsteps == n
+
+    def test_budget_of_rejected_attempts(self):
+        n = 4
+        field, _ = nan_seventh_stage()
+        wrapped, calls = counted(field)
+        stepper = Dopri3(wrapped, 0.0, (0.0, 0.0, 0.0), h=1.0, max_steps=n)
+        with pytest.raises(StepBudgetError):
+            stepper.advance_to(1.0)
+        assert stepper.nsteps == n
+        assert calls[0] == 1 + 6 * n

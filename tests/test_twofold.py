@@ -74,6 +74,28 @@ class TestClassifyTwofold:
         tc = classify_twofold(TwoFoldParams(-1, 1, -3.0, 0.5))
         assert tc.flavour is Flavour.MIXED and tc.determinacy_breaking
 
+    @pytest.mark.parametrize("a1,a2", [(1, 1), (-1, -1), (1, -1), (-1, 1)])
+    def test_commutes_with_side_swap(self, a1, a2):
+        # x1 -> -x1, lambda -> -lambda, x2 <-> x3 maps (a1, a2, b1, b2) onto
+        # (a2, a1, b2, b1) and each folded point phi_s onto -phi_s
+        rng = random.Random(4 + 2 * a1 + a2)
+        for _ in range(1000):
+            b1, b2 = rng.uniform(-6, 6), rng.uniform(-6, 6)
+            p, image = TwoFoldParams(a1, a2, b1, b2), TwoFoldParams(a2, a1, b2, b1)
+            assert classify_twofold(image) == classify_twofold(p), p
+            assert sorted(-phi for phi in folded_points(image)) == folded_points(p), p
+
+    def test_mixed_db_where_a_folded_point_is_faux(self):
+        # for both mixed orientations the flag marks exactly the normal forms
+        # with a folded point that carries a faux canard
+        rng = random.Random(909)
+        for _ in range(500):
+            a1 = rng.choice((-1, 1))
+            p = TwoFoldParams(a1, -a1, rng.uniform(-6, 6), rng.uniform(-6, 6),
+                              rng.choice((-1, 1)) * rng.uniform(0.05, 1.0))
+            faux = any(r.canard is Canard.FAUX_CANARD for r in folded_reports(p, TANH))
+            assert classify_twofold(p).determinacy_breaking is faux, p
+
 
 class TestFoldedPoints:
     def test_equal_curvature_case(self):
