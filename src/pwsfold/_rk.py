@@ -11,6 +11,12 @@ step near the explicit pair's stability boundary. A stepper starts from an
 estimated step unless given one: each leg of an event-driven run after its
 first starts at the last step its predecessor accepted before its surface
 event was located, so it does not ramp up again from a tiny step.
+
+Between the endpoints of an accepted step the state is the cubic Hermite of
+the endpoint states and slopes, whose coefficients hermite_coefficients
+gives. Dense output (pws._Recorder) evaluates it at each stride multiple
+inside the step; event location and the sliding-exit bisection evaluate it
+through hermite.
 """
 
 # On per-step paths, max() and min() are written as comparisons in the
@@ -42,32 +48,36 @@ _MAX_FACTOR = 5.0
 _SAFETY = 0.9
 
 
+def hermite_coefficients(h, x0, f0, x1, f1):
+    """Horner coefficients (a1, a2, a3, b1, b2, b3, c1, c2, c3, e1, e2, e3)
+    of the cubic Hermite on an accepted step of length h != 0 from state x0
+    and slope f0 to x1 and f1: component i at th = (t - t0) / h is
+    a_i + th * (b_i + th * (c_i + th * e_i))."""
+    (a1, a2, a3), (p1, p2, p3), (q1, q2, q3) = x0, f0, f1
+    d1, d2, d3 = x1[0] - a1, x1[1] - a2, x1[2] - a3
+    return (a1, a2, a3, h * p1, h * p2, h * p3, 3.0 * d1 - h * (2.0 * p1 + q1),
+            3.0 * d2 - h * (2.0 * p2 + q2), 3.0 * d3 - h * (2.0 * p3 + q3),
+            -2.0 * d1 + h * (p1 + q1), -2.0 * d2 + h * (p2 + q2), -2.0 * d3 + h * (p3 + q3))
+
+
 def hermite(t0, x0, f0, t1, x1, f1):
     """Cubic Hermite interpolant of one accepted step, as a function that
     maps a sequence of times to the list of their states.
 
-    The Horner coefficients of each component are computed once here; every
-    evaluation then costs three cubics in th = (t - t0) / (t1 - t0). One
-    state is a one-element call: at([t])[0].
+    Event location and the sliding-exit bisection evaluate it; dense output
+    evaluates the same cubic in pws._Recorder. The coefficients are computed
+    once here; every evaluation then costs three cubics in
+    th = (t - t0) / (t1 - t0). A step of length 0 gives x1 at every time.
+    One state is a one-element call: at([t])[0].
     """
     h = t1 - t0
     if h == 0.0:
         return lambda ts: [x1] * len(ts)
-    a1, a2, a3 = x0
-    p1, p2, p3 = f0
-    q1, q2, q3 = f1
-    d1, d2, d3 = x1[0] - a1, x1[1] - a2, x1[2] - a3
-    b1, b2, b3 = h * p1, h * p2, h * p3
-    c1 = 3.0 * d1 - h * (2.0 * p1 + q1)
-    c2 = 3.0 * d2 - h * (2.0 * p2 + q2)
-    c3 = 3.0 * d3 - h * (2.0 * p3 + q3)
-    e1 = -2.0 * d1 + h * (p1 + q1)
-    e2 = -2.0 * d2 + h * (p2 + q2)
-    e3 = -2.0 * d3 + h * (p3 + q3)
+    a1, a2, a3, b1, b2, b3, c1, c2, c3, e1, e2, e3 = hermite_coefficients(h, x0, f0, x1, f1)
 
     def at(ts):
         # a loop, not a comprehension: before Python 3.12 a comprehension
-        # costs a function call, and many steps carry one or two samples
+        # costs a function call
         out = []
         for t in ts:
             th = (t - t0) / h

@@ -19,6 +19,7 @@ _next_region, which also counts the event and appends its one record.
 from __future__ import annotations
 
 import bisect
+import copy
 import enum
 import math
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from typing import NamedTuple
 from . import expr as ex, roots
 from .exceptions import (EvaluationError, EventLimitError, IntegrationError,
                          SlidingResidualError, StepUnderflowError, ValidationError)
-from ._rk import Dopri3
+from ._rk import Dopri3, hermite_coefficients
 from .roots import polish_bracketed_root
 
 __all__ = [
@@ -381,17 +382,21 @@ class Trajectory:
 
     def extend(self, times, states, modes, lambdas) -> None:
         """Add samples at strictly increasing times (states as tuples), as
-        append would one by one: the first replaces a last sample at its
-        time, and raises ValidationError if it is earlier."""
-        if self.times and times[0] <= self.times[-1]:
-            if times[0] < self.times[-1]:
-                raise ValidationError(f"sample at t = {times[0]!r} precedes the last, "
+        append would one by one."""
+        for own, new in zip(self._admit(times[0]), (times, states, modes, lambdas)):
+            own.extend(new)
+
+    def _admit(self, t: float):
+        """Make room for samples from t on and return the lists of times,
+        states, modes and lambdas to append them to: a last sample at t is
+        dropped, so the first added replaces it; an earlier t raises
+        ValidationError."""
+        if self.times and t <= self.times[-1]:
+            if t < self.times[-1]:
+                raise ValidationError(f"sample at t = {t!r} precedes the last, "
                                       f"at t = {self.times[-1]!r}")
             del self.times[-1], self.states[-1], self.modes[-1], self.lambdas[-1]
-        self.times += times
-        self.states += states
-        self.modes += modes
-        self.lambdas += lambdas
+        return self.times, self.states, self.modes, self.lambdas
 
     @property
     def final_state(self) -> tuple[float, float, float]:
@@ -468,24 +473,27 @@ def _free_mode(x1: float) -> str:
 
 
 class _Recorder:
-    """Dense output: one sample at each multiple of stride, interpolated in
-    the accepted step that reaches it."""
+    """Dense output: one sample at each multiple of stride, the cubic Hermite
+    of the accepted step that reaches it (_rk.hermite's coefficients, in
+    hermite's operation order), put back on f1 = 0 in a sliding leg."""
 
     def __init__(self, traj: Trajectory, stride: float):
         self.traj = traj
         self.stride = stride
         self.k = 1  # next stride sample index
 
-    def emit_through(self, t_hi: float, interpolant, mode: str | None = None) -> None:
-        """Append the samples up to t_hi; mode None labels each by sign(x1).
+    def emit_through(self, t_hi: float, step, mode=None, project=None) -> None:
+        """Append the samples up to t_hi of step's last accepted step, from
+        (t_prev, x_prev, f_prev) to (t, x, f), in one loop; mode None labels
+        each by sign(x1).
 
-        interpolant() builds the step's function from a sequence of times to
-        the list of their states, which are (lambda, x2, x3) in mode
-        'sliding'; it is built only when a sample falls in the step, and
-        then evaluates all of them in one call. A sample whose stride
-        multiple rounds past t_hi is taken at t_hi, once, so the end state
-        or event record appended there next replaces it instead of being
-        dropped.
+        In a sliding leg (mode 'sliding' with project) the states are
+        (lambda, x2, x3): each sample is project's image of the cubic's
+        state, recorded at (0, x2, x3) with that lambda. The step's
+        endpoints are read only when a sample falls in it. A sample whose
+        stride multiple rounds past t_hi is taken at t_hi, once, so the end
+        state or event record appended there next replaces it instead of
+        being dropped.
         """
         k, stride = self.k, self.stride
         a = abs(t_hi)
@@ -493,26 +501,33 @@ class _Recorder:
         t = k * stride
         if t > bound:
             return
-        ts = []
-        while t <= t_hi:
-            ts.append(t)
+        times, states, modes, lambdas = self.traj._admit(t if t < t_hi else t_hi)
+        t0, x1, h, lam = step.t_prev, step.x, step.t - step.t_prev, None
+        if h:
+            a1, a2, a3, b1, b2, b3, c1, c2, c3, e1, e2, e3 = hermite_coefficients(
+                h, step.x_prev, step.f_prev, x1, step.f)
+        while t <= bound:
+            if t >= t_hi:  # the last sample: at t_hi, past the multiples up to bound
+                t = t_hi
+                while (k + 1) * stride <= bound:
+                    k += 1
+            if h:
+                th = (t - t0) / h
+                s = (a1 + th * (b1 + th * (c1 + th * e1)),
+                     a2 + th * (b2 + th * (c2 + th * e2)),
+                     a3 + th * (b3 + th * (c3 + th * e3)))
+            else:
+                s = x1
+            if project is not None:
+                lam, x2, x3 = project(s)
+                s = (0.0, x2, x3)
+            times.append(t)
+            states.append(s)
+            modes.append(mode or _free_mode(s[0]))
+            lambdas.append(lam)
             k += 1
             t = k * stride
-        if t <= bound:
-            if not ts or ts[-1] < t_hi:
-                ts.append(t_hi)
-            while t <= bound:
-                k += 1
-                t = k * stride
         self.k = k
-        states = interpolant()(ts)
-        n = len(ts)
-        if mode == "sliding":
-            self.traj.extend(ts, [(0.0, s[1], s[2]) for s in states], [mode] * n,
-                             [s[0] for s in states])
-        else:
-            modes = [mode] * n if mode else [_free_mode(s[0]) for s in states]
-            self.traj.extend(ts, states, modes, [None] * n)
 
 
 def _check_start(x0, t_end: float, stride: float) -> None:
@@ -639,14 +654,13 @@ def _free_leg(sys, t, x, region, t_end, opts, traj, rec, h):
                    (abs(x1_new) <= SURFACE_TOL and abs(x1_prev) > SURFACE_TOL) or
                    (abs(x1_new) > SURFACE_TOL and (x1_new > 0) != (region > 0)))
         if not crossed:
-            rec.emit_through(stepper.t, stepper.interpolant, mode)
+            rec.emit_through(stepper.t, stepper, mode)
             continue
-        h = stepper.t - stepper.t_prev
-        step_interp = stepper.interpolant()
-        t_ev = _locate_crossing(stepper, region, step_interp)
-        rec.emit_through(t_ev, lambda: step_interp, mode)
-        return t_ev, (0.0, stepper.x[1], stepper.x[2]), True, h
-    rec.emit_through(t_end, stepper.interpolant, mode)
+        step = copy.copy(stepper)  # the crossing step, which locating rewinds
+        t_ev = _locate_crossing(stepper, region, step.interpolant())
+        rec.emit_through(t_ev, step, mode)
+        return t_ev, (0.0, stepper.x[1], stepper.x[2]), True, step.t - step.t_prev
+    rec.emit_through(t_end, stepper, mode)
     traj.append(t_end, stepper.x, mode, None)
     return stepper.t, stepper.x, False, None
 
@@ -713,10 +727,10 @@ def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h):
     lambda where it left (None at t_end), lam the end put back on f1 = 0
     and h the last accepted step before the exit was located.
 
-    Each accepted step and each dense sample is put back on f1 = 0 by one
-    Newton step in lambda, the exit by up to 30, to |f1| <= RESIDUAL_TOL.
-    interpolant() is the step's hermite interpolant with each state so
-    projected; the exit is found by bisection in t on one-time calls of it.
+    Each accepted step's end and each dense sample (which _Recorder takes
+    from the step's cubic Hermite) is put back on f1 = 0 by one Newton step
+    in lambda, the exit by up to 30, to |f1| <= RESIDUAL_TOL. The exit is
+    found by bisection in t on the step's hermite, each state so projected.
     """
     x2, x3 = x[1], x[2]
     f1, f1_dlam = sys.f1, sys.f1_dlambda
@@ -729,10 +743,6 @@ def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h):
 
     def left(s):
         return abs(s[0]) >= 1.0 or (f1_dlam(0.0, s[1], s[2], s[0]) < 0.0) != attracting
-
-    def interpolant():
-        at = stepper.interpolant()
-        return lambda ts: [project(s) for s in at(ts)]
 
     stepper = Dopri3(sys._sliding_field, t, (lam, x2, x3), rtol=opts.rel_tol,
                      atol=opts.abs_tol, max_steps=opts.max_steps, h=h)
@@ -747,23 +757,23 @@ def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h):
             break
         stepper.x = project(stepper.x)
         if not left(stepper.x):
-            rec.emit_through(stepper.t, interpolant, "sliding")
+            rec.emit_through(stepper.t, stepper, "sliding", project)
             continue
-        at = interpolant()
+        at = stepper.interpolant()
         lo, hi = stepper.t_prev, stepper.t
         while hi - lo > 1e-9 * max(1.0, abs(hi)):
             mid = 0.5 * (lo + hi)
-            if left(at((mid,))[0]):
+            if left(project(at((mid,))[0])):
                 hi = mid
             else:
                 lo = mid
-        if abs(at((hi,))[0][0]) < 1.0:
+        if abs(project(at((hi,))[0])[0]) < 1.0:
             hi = lo  # past a fold f1 = 0 has no root nearby: exit before it
-        t_ev, (s,) = hi, at((hi,))
-        rec.emit_through(t_ev, lambda: at, "sliding")
+        t_ev, s = hi, project(at((hi,))[0])
+        rec.emit_through(t_ev, stepper, "sliding", project)
         break
     else:  # t_end reached without an exit
-        rec.emit_through(t_end, interpolant, "sliding")
+        rec.emit_through(t_end, stepper, "sliding", project)
         lam, x2, x3 = stepper.x
         traj.append(t_end, (0.0, x2, x3), "sliding", lam)
         return stepper.t, (0.0, x2, x3), lam, None, None

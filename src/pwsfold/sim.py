@@ -44,10 +44,10 @@ def integrate_smooth(field: Callable, x0, t_end: float,
     traj = Trajectory()
     traj.append(0.0, stepper.x, _free_mode(stepper.x[0]), None)
     emit = _Recorder(traj, opts.dense_output_stride).emit_through
-    step_to, interpolant = stepper.step_to, stepper.interpolant
+    step_to = stepper.step_to
     while stepper.t < t_end:
         step_to(t_end)
-        emit(stepper.t, interpolant)
+        emit(stepper.t, stepper)
     traj.append(t_end, stepper.x, _free_mode(stepper.x[0]), None)
     return traj
 

@@ -2,6 +2,7 @@ import math
 import os
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -720,39 +721,52 @@ def per_sample_emit(traj, k, stride, t_hi, at, mode=None):
     return k
 
 
+def accepted_step(t0, x0, f0, t1, x1, f1):
+    """A stand-in for a Dopri3 whose last accepted step is the given one."""
+    return SimpleNamespace(t_prev=t0, x_prev=x0, f_prev=f0, t=t1, x=x1, f=f1)
+
+
+def sliding_projection(s):
+    # nonlinear in lambda, and it moves x3 as well
+    lam, x2, x3 = s
+    return (0.5 * lam + 0.1 * lam ** 3, x2, x3 + lam * lam)
+
+
 class TestRecorder:
     # one step from t = 0.25 to 1.0 whose x1 changes sign
     STEP = (0.25, (0.5, 1.0, -1.0), (-1.0, 0.5, 2.0),
             1.0, (-0.25, 1.25, 0.5), (-0.5, 0.0, 1.0))
 
-    def both(self, stride, t_hi, mode=None, k=1, first=(0.0, (0.5, 1.0, -1.0)),
-             project=None):
-        """(batched, reference) trajectories after one emit_through."""
-        at = hermite(*self.STEP)
+    def emit(self, recorder, stride, t_hi, mode=None, k=1, first=(0.0, (0.5, 1.0, -1.0)),
+             project=None, step=None):
+        """The trajectory and next stride index after one emit_through of
+        step (STEP by default) by _Recorder, or else by the reference."""
+        step = step or self.STEP
+        traj = pf.Trajectory()
+        traj.append(first[0], first[1], "free+", None)
+        if recorder:
+            rec = _Recorder(traj, stride)
+            rec.k = k
+            rec.emit_through(t_hi, accepted_step(*step), mode, project)
+            return traj, rec.k
+        at = hermite(*step)
         if project is not None:
             raw = at
 
             def at(ts):
                 return [project(s) for s in raw(ts)]
-        out = []
-        for batched in (True, False):
-            traj = pf.Trajectory()
-            traj.append(first[0], first[1], "free+", None)
-            if batched:
-                rec = _Recorder(traj, stride)
-                rec.k = k
-                rec.emit_through(t_hi, lambda: at, mode)
-                next_k = rec.k
-            else:
-                next_k = per_sample_emit(traj, k, stride, t_hi, at, mode)
-            out.append((traj, next_k))
-        return out
+        return traj, per_sample_emit(traj, k, stride, t_hi, at, mode)
+
+    def both(self, *args, **kwargs):
+        """(recorder, reference) results of emit."""
+        return [self.emit(recorder, *args, **kwargs) for recorder in (True, False)]
 
     def assert_same(self, pair):
+        # repr tells every float apart, -0.0 from 0.0 too: bit for bit
         (a, ka), (b, kb) = pair
         assert ka == kb
-        assert (a.times, a.states, a.modes, a.lambdas) == \
-            (b.times, b.states, b.modes, b.lambdas)
+        assert repr((a.times, a.states, a.modes, a.lambdas)) == \
+            repr((b.times, b.states, b.modes, b.lambdas))
 
     def test_many_samples_in_one_step(self):
         pair = self.both(1e-3, 1.0)
@@ -796,7 +810,8 @@ class TestRecorder:
     def test_earlier_first_sample_raises(self):
         # the first stride sample, 0.1, precedes the trajectory's last, 0.5
         at = hermite(*self.STEP)
-        for emit in (lambda traj: _Recorder(traj, 0.1).emit_through(1.0, lambda: at),
+        step = accepted_step(*self.STEP)
+        for emit in (lambda traj: _Recorder(traj, 0.1).emit_through(1.0, step),
                      lambda traj: per_sample_emit(traj, 1, 0.1, 1.0, at)):
             traj = pf.Trajectory()
             traj.append(0.5, (0.0, 0.0, 0.0), "free+", None)
@@ -808,6 +823,54 @@ class TestRecorder:
         with pytest.raises(ValueError, match="precedes"):
             traj.extend([0.4, 0.6], [(0.0, 0.0, 0.0)] * 2, ["free+"] * 2, [None] * 2)
         assert traj.times == [0.5]
+
+    def test_random_steps_match_the_per_sample_reference(self):
+        """About 300 seeded draws of step, stride, start index, t_hi and
+        mode; each equals the reference bit for bit, or both raise."""
+        rng = random.Random(20261020)
+        counts = {"samples": 0, "raised": 0, "replaced": 0, "zero_step": 0, "clamped": 0}
+
+        def vec():
+            return tuple(rng.choice((-0.0, rng.uniform(-2.0, 2.0))) for _ in range(3))
+
+        for _ in range(300):
+            t0 = rng.uniform(0.0, 3.0)
+            t1 = t0 if rng.random() < 0.1 else t0 + 10 ** rng.uniform(-4.0, 0.5)
+            step = (t0, vec(), vec(), t1, vec(), vec())
+            stride = 10 ** rng.uniform(-13.0, 0.0)
+            j = max(1, round(rng.uniform(t0, t1 + 0.5) / stride))
+            where = rng.choice(("on", "between", "in_bound"))
+            t_hi = j * stride
+            if where == "between":
+                t_hi = (j + rng.uniform(0.05, 0.95)) * stride
+            elif where == "in_bound":
+                t_hi -= rng.uniform(0.05, 0.95) * 1e-12 * max(1.0, t_hi)
+            # a start index past j makes the first sample a clamped one
+            k = max(1, j - (rng.randint(-3, 1) if rng.random() < 0.25 else rng.randint(0, 150)))
+            mode = rng.choice((None, "free-", "sliding"))
+            project = sliding_projection if mode == "sliding" else None
+            # the trajectory's last sample: before the first new one, at its
+            # time (it is replaced) or after it (ValidationError)
+            first_t = k * stride if k * stride <= t_hi else t_hi
+            last_t = rng.choice((first_t - rng.uniform(0.0, 1.0) * stride, first_t,
+                                 first_t + stride))
+            has_sample = k * stride <= t_hi + 1e-12 * max(1.0, abs(t_hi))
+            counts["zero_step"] += t1 == t0 and has_sample
+            args = (stride, t_hi, mode, k, (last_t, (0.5, 1.0, -1.0)), project, step)
+            if has_sample and last_t > first_t:
+                for recorder in (True, False):
+                    with pytest.raises(ValidationError, match="precedes"):
+                        self.emit(recorder, *args)
+                counts["raised"] += 1
+                continue
+            pair = self.both(*args)
+            self.assert_same(pair)
+            traj = pair[0][0]
+            counts["samples"] += len(traj.times) - 1
+            counts["replaced"] += has_sample and last_t == first_t
+            counts["clamped"] += traj.times[-1] == t_hi and where != "on"
+        # every rule was reached
+        assert all(counts.values()), counts
 
 
 class TestRunEnd:

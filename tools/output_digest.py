@@ -9,7 +9,9 @@ slide into its folded node, and on three starts that reach the tangency and
 no-sliding-root policies (a grazing arrival that slides, one that crosses,
 and a start on the surface where f1 has no root); regularized runs of
 examples i-iii at eps 1e-3 with each built-in sigmoid, and at eps 1e-4 and
-1e-5; the manifold CSV, with its non-hyperbolic curve, of a bundled normal
+1e-5; one event-driven run (with sliding legs and crossings) and one
+regularized run at dense-output stride 1e-3, which write many samples per
+accepted step; the manifold CSV, with its non-hyperbolic curve, of a bundled normal
 form and of one with another alpha (the only parameter that shapes a normal
 form's manifold), and the manifold CSV of the lambda-cubic system (the
 root-scan path); the CSV of a regularized `examples` run; the exit code,
@@ -41,7 +43,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 sys.path.insert(0, SRC)
 
 from pwsfold import cli, sim  # noqa: E402
-from pwsfold.pws import PiecewiseSystem, integrate_pws  # noqa: E402
+from pwsfold.pws import IntegratorOptions, PiecewiseSystem, integrate_pws  # noqa: E402
 from pwsfold.regularize import (SIGMOID_NAMES, builtin_sigmoid,  # noqa: E402
                                 critical_manifold, degeneracy_probe,
                                 nonhyperbolic_curve, slow_u_dot)
@@ -67,6 +69,11 @@ PWS_CASES = (
      4.652057),
     ("invisible_db", (-0.4957, 0.5032, 0.4863), 2.087855),
 )
+# (bundled system or example, start, t_end): runs at dense_output_stride
+# 1e-3, many samples per accepted step; the event-driven one has sliding
+# legs and crossings.
+FINE_STRIDE_PWS = ("example_iii", (-0.3, -0.3, 0.8), 10.0)
+FINE_STRIDE_REGULARIZED = ("iii", (0.1, 0.1, 0.1), 5.0)
 # Section-6 pair with a hidden term cubic in lambda (the root-scan path).
 CUBIC_SYSTEM = (("-1", "-1", "0"), ("1", "-1", "0"), ("0.2 + 0.1*lambda", "0", "0"))
 # (name, system, start, t_end): f+ = (-10 x1, 1, 0) grazes x1 = 0 near
@@ -233,6 +240,11 @@ def digests():
         traj = integrate_pws(system, x0, t_end)
         yield (f"pws/{name}/x0={x0[0]!r},{x0[1]!r},{x0[2]!r}/t={t_end!r}",
                _sha(sim.trajectory_csv(traj)))
+    fine = IntegratorOptions(dense_output_stride=1e-3)
+    name, x0, t_end = FINE_STRIDE_PWS
+    traj = integrate_pws(cli.load_system_file(_system_path(name)).system, x0, t_end, fine)
+    yield (f"pws/{name}/x0={x0[0]!r},{x0[1]!r},{x0[2]!r}/t={t_end!r}/stride=0.001",
+           _sha(sim.trajectory_csv(traj)))
 
     for which in sim.EXAMPLE_NAMES:
         for sigmoid in ("tanh", "algebraic", "cubic"):
@@ -242,6 +254,10 @@ def digests():
         traj = sim.run_example(which, eps, t_end, sigmoid)
         yield (f"regularized/{which}/{sigmoid}/eps={eps!r}/t={t_end!r}",
                _sha(sim.trajectory_csv(traj)))
+    which, x0, t_end = FINE_STRIDE_REGULARIZED
+    traj = sim.run_example(which, 1e-3, t_end, "tanh", x0, fine)
+    yield (f"regularized/{which}/tanh/eps=0.001/t={t_end!r}/stride=0.001",
+           _sha(sim.trajectory_csv(traj)))
 
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
