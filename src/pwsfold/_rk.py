@@ -12,11 +12,13 @@ estimated step unless given one: each leg of an event-driven run after its
 first starts at the last step its predecessor accepted before its surface
 event was located, so it does not ramp up again from a tiny step.
 
-Between the endpoints of an accepted step the state is the cubic Hermite of
-the endpoint states and slopes, whose coefficients hermite_coefficients
-gives. Dense output (pws._Recorder) evaluates it at each stride multiple
-inside the step; event location and the sliding-exit bisection evaluate it
-through hermite.
+The accepted step. A stepper gives dense output and event location its
+last accepted step as six attributes: the start t_prev, x_prev, f_prev
+(time, state, slope) and the end t, x, f. Between them the state is the
+cubic Hermite of the endpoint states and slopes, whose coefficients
+hermite_coefficients gives. Dense output (pws._Recorder) reads the step's
+attributes and evaluates the cubic at each stride multiple inside it; event
+location and the sliding-exit bisection evaluate it through hermite(step).
 """
 
 # On per-step paths, max() and min() are written as comparisons in the
@@ -60,31 +62,29 @@ def hermite_coefficients(h, x0, f0, x1, f1):
             -2.0 * d1 + h * (p1 + q1), -2.0 * d2 + h * (p2 + q2), -2.0 * d3 + h * (p3 + q3))
 
 
-def hermite(t0, x0, f0, t1, x1, f1):
-    """Cubic Hermite interpolant of one accepted step, as a function that
-    maps a sequence of times to the list of their states.
+def hermite(step):
+    """Cubic Hermite of step's accepted step, from (t_prev, x_prev, f_prev)
+    to (t, x, f), as a function of one time.
 
-    Event location and the sliding-exit bisection evaluate it; dense output
-    evaluates the same cubic in pws._Recorder. The coefficients are computed
-    once here; every evaluation then costs three cubics in
-    th = (t - t0) / (t1 - t0). A step of length 0 gives x1 at every time.
-    One state is a one-element call: at([t])[0].
+    The attributes are read once, here, so a later step of the same stepper
+    leaves the function as it is. Event location and the sliding-exit
+    bisection evaluate it; dense output evaluates the same cubic, in the
+    same operation order, in pws._Recorder. Each evaluation costs three
+    cubics in th = (t - t_prev) / h, h the step's length. A step of length
+    0 gives x at every time.
     """
-    h = t1 - t0
+    t0, x1 = step.t_prev, step.x
+    h = step.t - t0
     if h == 0.0:
-        return lambda ts: [x1] * len(ts)
-    a1, a2, a3, b1, b2, b3, c1, c2, c3, e1, e2, e3 = hermite_coefficients(h, x0, f0, x1, f1)
+        return lambda t: x1
+    a1, a2, a3, b1, b2, b3, c1, c2, c3, e1, e2, e3 = hermite_coefficients(
+        h, step.x_prev, step.f_prev, x1, step.f)
 
-    def at(ts):
-        # a loop, not a comprehension: before Python 3.12 a comprehension
-        # costs a function call
-        out = []
-        for t in ts:
-            th = (t - t0) / h
-            out.append((a1 + th * (b1 + th * (c1 + th * e1)),
-                        a2 + th * (b2 + th * (c2 + th * e2)),
-                        a3 + th * (b3 + th * (c3 + th * e3))))
-        return out
+    def at(t):
+        th = (t - t0) / h
+        return (a1 + th * (b1 + th * (c1 + th * e1)),
+                a2 + th * (b2 + th * (c2 + th * e2)),
+                a3 + th * (b3 + th * (c3 + th * e3)))
 
     return at
 
@@ -111,7 +111,8 @@ class Dopri3:
             h = self._initial_step()
         # never below the 16 ulp under which step_to raises StepUnderflowError
         self.h = max(h, 32.0 * math.ulp(max(abs(self.t), 1.0)))
-        # previous accepted endpoint, for interpolation and event rewind
+        # previous accepted endpoint: the accepted step's start, for dense
+        # output and event rewind
         self.t_prev = self.t
         self.x_prev = self.x
         self.f_prev = self.f
@@ -125,11 +126,6 @@ class Dopri3:
         xn = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
         scale = self.atol + self.rtol * max(xn, 1.0)
         return 0.01 * scale / fn if fn > 0 else 1e-6
-
-    def interpolant(self):
-        """hermite() of the last accepted step, (t_prev, t)."""
-        return hermite(self.t_prev, self.x_prev, self.f_prev,
-                       self.t, self.x, self.f)
 
     # -- stepping -----------------------------------------------------------
 

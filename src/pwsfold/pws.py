@@ -29,7 +29,7 @@ from typing import NamedTuple
 from . import expr as ex, roots
 from .exceptions import (EvaluationError, EventLimitError, IntegrationError,
                          SlidingResidualError, StepUnderflowError, ValidationError)
-from ._rk import Dopri3, hermite_coefficients
+from ._rk import Dopri3, hermite, hermite_coefficients
 from .roots import polish_bracketed_root
 
 __all__ = [
@@ -378,13 +378,8 @@ class Trajectory:
     def append(self, t: float, state, mode: str, lam: float | None) -> None:
         """Add a sample; one at the last sample's time replaces it, so times
         stay strictly increasing. An earlier t raises ValidationError."""
-        self.extend([t], [tuple(state)], [mode], [lam])
-
-    def extend(self, times, states, modes, lambdas) -> None:
-        """Add samples at strictly increasing times (states as tuples), as
-        append would one by one."""
-        for own, new in zip(self._admit(times[0]), (times, states, modes, lambdas)):
-            own.extend(new)
+        for own, new in zip(self._admit(t), (t, tuple(state), mode, lam)):
+            own.append(new)
 
     def _admit(self, t: float):
         """Make room for samples from t on and return the lists of times,
@@ -474,8 +469,10 @@ def _free_mode(x1: float) -> str:
 
 class _Recorder:
     """Dense output: one sample at each multiple of stride, the cubic Hermite
-    of the accepted step that reaches it (_rk.hermite's coefficients, in
-    hermite's operation order), put back on f1 = 0 in a sliding leg."""
+    of the accepted step that reaches it, put back on f1 = 0 in a sliding
+    leg. It reads the step as _rk.hermite does (the stepper's six step
+    attributes) and evaluates the cubic in hermite's operation order, in
+    one loop per step rather than one call per sample."""
 
     def __init__(self, traj: Trajectory, stride: float):
         self.traj = traj
@@ -657,7 +654,7 @@ def _free_leg(sys, t, x, region, t_end, opts, traj, rec, h):
             rec.emit_through(stepper.t, stepper, mode)
             continue
         step = copy.copy(stepper)  # the crossing step, which locating rewinds
-        t_ev = _locate_crossing(stepper, region, step.interpolant())
+        t_ev = _locate_crossing(stepper, region)
         rec.emit_through(t_ev, step, mode)
         return t_ev, (0.0, stepper.x[1], stepper.x[2]), True, step.t - step.t_prev
     rec.emit_through(t_end, stepper, mode)
@@ -665,27 +662,24 @@ def _free_leg(sys, t, x, region, t_end, opts, traj, rec, h):
     return stepper.t, stepper.x, False, None
 
 
-def _locate_crossing(stepper: Dopri3, region: int, interp) -> float:
+def _locate_crossing(stepper: Dopri3, region: int) -> float:
     """Move the stepper so its state sits on x1 = 0 to SURFACE_TOL.
 
-    interp is the interpolant of the step that crossed; the Illinois root
-    of its x1 is the first guess. Each guess re-advances from that step's
+    The stepper's last accepted step crossed; the Illinois root of x1 of
+    its hermite is the first guess. Each guess re-advances from that step's
     start, (t_prev, x_prev, f_prev), whose first attempt is then the whole
     way to the guess; the next guess is a Newton step on the x1 and x1'
     reached. A zero x1', or _LOCATE_BUDGET re-advances that all miss the
     surface, raise IntegrationError naming the step.
     """
+    at = hermite(stepper)  # before the first rewind moves the stepper
     lo, hi = stepper.t_prev, stepper.t
     g_lo, g_hi = stepper.x_prev[0], stepper.x[0]
     if g_lo == 0.0:
         # leg started exactly on the surface; treat the start as region-side
         g_lo = region * SURFACE_TOL
     start = (stepper.t_prev, stepper.x_prev, stepper.f_prev, hi - lo)
-
-    def gh(tt):
-        return interp((tt,))[0][0]
-
-    guess = polish_bracketed_root(gh, lo, hi, g_lo, g_hi, residual_tol=0.0) \
+    guess = polish_bracketed_root(lambda t: at(t)[0], lo, hi, g_lo, g_hi, residual_tol=0.0) \
         if g_lo * g_hi < 0.0 else hi
 
     for _ in range(_LOCATE_BUDGET):
@@ -730,7 +724,8 @@ def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h):
     Each accepted step's end and each dense sample (which _Recorder takes
     from the step's cubic Hermite) is put back on f1 = 0 by one Newton step
     in lambda, the exit by up to 30, to |f1| <= RESIDUAL_TOL. The exit is
-    found by bisection in t on the step's hermite, each state so projected.
+    found by bisection in t on hermite(stepper) of the step that left, its
+    end already projected, each state so projected.
     """
     x2, x3 = x[1], x[2]
     f1, f1_dlam = sys.f1, sys.f1_dlambda
@@ -759,17 +754,17 @@ def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h):
         if not left(stepper.x):
             rec.emit_through(stepper.t, stepper, "sliding", project)
             continue
-        at = stepper.interpolant()
+        at = hermite(stepper)
         lo, hi = stepper.t_prev, stepper.t
         while hi - lo > 1e-9 * max(1.0, abs(hi)):
             mid = 0.5 * (lo + hi)
-            if left(project(at((mid,))[0])):
+            if left(project(at(mid))):
                 hi = mid
             else:
                 lo = mid
-        if abs(project(at((hi,))[0])[0]) < 1.0:
+        if abs(project(at(hi))[0]) < 1.0:
             hi = lo  # past a fold f1 = 0 has no root nearby: exit before it
-        t_ev, s = hi, project(at((hi,))[0])
+        t_ev, s = hi, project(at(hi))
         rec.emit_through(t_ev, stepper, "sliding", project)
         break
     else:  # t_end reached without an exit

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,17 +22,22 @@ def cubic_slope(c, t):
 COEFFS = ((1.0, -2.0, 0.5, 0.25), (0.0, 1.0, -3.0, 2.0), (-0.5, 0.0, 0.0, 1.0))
 
 
+def accepted_step(t0, x0, f0, t1, x1, f1):
+    """A stand-in for a Dopri3 whose last accepted step is the given one."""
+    return SimpleNamespace(t_prev=t0, x_prev=x0, f_prev=f0, t=t1, x=x1, f=f1)
+
+
 class TestHermite:
     def test_endpoint_values_and_slopes(self):
         x0, f0 = (1.0, -2.0, 0.5), (0.3, 4.0, -1.0)
         x1, f1 = (1.5, -1.0, 0.25), (-0.2, 2.0, 0.5)
         t0, t1 = 0.5, 0.75
-        at = hermite(t0, x0, f0, t1, x1, f1)
-        assert at([t0]) == [x0]
-        assert at([t1])[0] == pytest.approx(x1, rel=1e-15, abs=1e-15)
+        at = hermite(accepted_step(t0, x0, f0, t1, x1, f1))
+        assert at(t0) == x0
+        assert at(t1) == pytest.approx(x1, rel=1e-15, abs=1e-15)
         d = 1e-5
         for t, f in ((t0, f0), (t1, f1)):
-            plus, minus = at([t + d, t - d])
+            plus, minus = at(t + d), at(t - d)
             slope = [(p - m) / (2 * d) for p, m in zip(plus, minus)]
             assert slope == pytest.approx(f, rel=1e-8, abs=1e-8)
 
@@ -45,19 +51,20 @@ class TestHermite:
         f1 = tuple(cubic_slope(c, t1) for c in COEFFS)
         t = t0 + w * h
         scale = 1.0 + max(abs(t0), abs(t1)) ** 3
-        (got,) = hermite(t0, x0, f0, t1, x1, f1)([t])
+        got = hermite(accepted_step(t0, x0, f0, t1, x1, f1))(t)
         for c, v in zip(COEFFS, got):
             assert v == pytest.approx(cubic(c, t), abs=1e-12 * scale)
 
     def test_zero_length_step(self):
         x1 = (1.0, 2.0, 3.0)
-        assert hermite(2.0, (0.0, 0.0, 0.0), x1, 2.0, x1, x1)([2.0])[0] is x1
+        assert hermite(accepted_step(2.0, (0.0, 0.0, 0.0), x1, 2.0, x1, x1))(2.0) is x1
 
     def test_stepper_interpolant_spans_last_step(self):
         stepper = Dopri3(lambda t, x: (x[1], -x[0], 1.0), 0.0, (1.0, 0.0, 0.0))
         stepper.step_to(1.0)
         stepper.step_to(1.0)
-        first, last = stepper.interpolant()([stepper.t_prev, stepper.t])
+        at = hermite(stepper)
+        first, last = at(stepper.t_prev), at(stepper.t)
         assert first == stepper.x_prev
         assert last == pytest.approx(stepper.x, rel=1e-15, abs=1e-15)
 
