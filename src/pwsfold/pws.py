@@ -30,7 +30,7 @@ from . import expr as ex, roots
 from .exceptions import (EvaluationError, EventLimitError, IntegrationError,
                          SlidingResidualError, StepUnderflowError, ValidationError)
 from ._rk import Dopri3, hermite, hermite_coefficients
-from .roots import polish_bracketed_root
+from .roots import polish_bracketed_root, real_quadratic_roots
 
 __all__ = [
     "PiecewiseSystem", "SurfaceMode", "Trajectory", "IntegratorOptions",
@@ -398,8 +398,9 @@ class Trajectory:
         return self.states[-1]
 
     def state_at(self, t: float) -> tuple[float, float, float]:
-        """Linearly interpolated state; t must lie inside the time range."""
-        if not self.times or t < self.times[0] or t > self.times[-1]:
+        """Linearly interpolated state; t must lie inside the time range
+        (ValidationError otherwise, NaN included)."""
+        if not (self.times and self.times[0] <= t <= self.times[-1]):
             raise ValidationError(f"t = {t!r} outside trajectory range")
         i = bisect.bisect_right(self.times, t)  # >= 1, as t >= times[0]
         if i == len(self.times):
@@ -528,14 +529,18 @@ class _Recorder:
 
 
 def _check_start(x0, t_end: float, stride: float) -> None:
-    """Reject a non-finite start, a t_end that is not positive and finite,
-    or more than MAX_SAMPLES dense samples."""
+    """Reject a start that is not three finite reals, a t_end that is not
+    positive and finite, or more than MAX_SAMPLES dense samples."""
     if not 0.0 < t_end < math.inf:
         raise ValidationError("t_end must be positive and finite")
     if t_end > MAX_SAMPLES * stride:
         raise ValidationError(f"t_end / dense_output_stride must not exceed {MAX_SAMPLES}")
-    if not all(math.isfinite(v) for v in x0):
-        raise ValidationError(f"x0 must be finite, got {tuple(x0)!r}")
+    try:
+        ok = len(x0) == 3 and all(math.isfinite(v) for v in x0)
+    except TypeError:  # no length, or an entry that is not a real
+        ok = False
+    if not ok:
+        raise ValidationError(f"x0 must be three finite reals, got {x0!r}")
 
 
 def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
@@ -553,8 +558,8 @@ def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
     its predecessor accepted before its event was located (at a sliding
     exit taken where the steps collapse, the last one accepted), and error
     control trims it as usual. Repelling sliding continues but sets the
-    trajectory's non_unique flag. x0 must be finite, t_end positive and
-    finite, and t_end / dense_output_stride at most MAX_SAMPLES
+    trajectory's non_unique flag. x0 must be three finite reals, t_end
+    positive and finite, and t_end / dense_output_stride at most MAX_SAMPLES
     (ValidationError otherwise).
     """
     opts = opts or IntegratorOptions()
@@ -640,21 +645,32 @@ def _free_leg(sys, t, x, region, t_end, opts, traj, rec, h):
     """Integrate one open-region segment, starting with step h (None: an
     estimate), until the flow reaches x1 = 0 or t_end; returns
     (t, x, arrived, h), with x on the surface and h the last accepted step,
-    before event location, when arrived."""
+    before event location, when arrived.
+
+    A step crosses where its end lies on or past the surface, or where x1
+    turns back inside it (x1' points at the surface at its start and away
+    at its end) and the step's cubic dips past the surface by more than
+    SURFACE_TOL at its turning point; the crossing is then bracketed by the
+    step's start and that turning point.
+    """
     stepper = Dopri3(sys.branch_field(region), t, x, rtol=opts.rel_tol,
                      atol=opts.abs_tol, max_steps=opts.max_steps, h=h)
     mode = _free_mode(region)
     while stepper.t < t_end:
         stepper.step_to(t_end)
         x1_prev, x1_new = stepper.x_prev[0], stepper.x[0]
+        far = stepper.t, x1_new
         crossed = (x1_prev * x1_new < 0.0 or
                    (abs(x1_new) <= SURFACE_TOL and abs(x1_prev) > SURFACE_TOL) or
                    (abs(x1_new) > SURFACE_TOL and (x1_new > 0) != (region > 0)))
+        if not crossed and stepper.f_prev[0] * region < 0.0 < stepper.f[0] * region:
+            far = _turning_point(stepper)
+            crossed = far[1] * region < -SURFACE_TOL
         if not crossed:
             rec.emit_through(stepper.t, stepper, mode)
             continue
         step = copy.copy(stepper)  # the crossing step, which locating rewinds
-        t_ev = _locate_crossing(stepper, region)
+        t_ev = _locate_crossing(stepper, region, *far)
         rec.emit_through(t_ev, step, mode)
         return t_ev, (0.0, stepper.x[1], stepper.x[2]), True, step.t - step.t_prev
     rec.emit_through(t_end, stepper, mode)
@@ -662,23 +678,38 @@ def _free_leg(sys, t, x, region, t_end, opts, traj, rec, h):
     return stepper.t, stepper.x, False, None
 
 
-def _locate_crossing(stepper: Dopri3, region: int) -> float:
+def _turning_point(step) -> tuple[float, float]:
+    """(t, x1) where x1 of step's cubic Hermite turns, for an accepted step
+    whose x1' changes sign from its start to its end: the one root in
+    (0, 1) of the cubic's derivative in th."""
+    h = step.t - step.t_prev
+    a, _, _, b, _, _, c, _, _, e, _, _ = hermite_coefficients(
+        h, step.x_prev, step.f_prev, step.x, step.f)
+    for th in real_quadratic_roots(3.0 * e, 2.0 * c, b):
+        if 0.0 < th < 1.0:
+            return step.t_prev + th * h, a + th * (b + th * (c + th * e))
+    return step.t, step.x[0]  # the root rounded onto an end: no turn inside
+
+
+def _locate_crossing(stepper: Dopri3, region: int, hi: float, g_hi: float) -> float:
     """Move the stepper so its state sits on x1 = 0 to SURFACE_TOL.
 
-    The stepper's last accepted step crossed; the Illinois root of x1 of
-    its hermite is the first guess. Each guess re-advances from that step's
+    The stepper's last accepted step crossed, and x1 = g_hi at time hi of
+    that step (its end, or where its cubic turns back past the surface).
+    The Illinois root of x1 of the step's hermite between the step's start
+    and hi is the first guess. Each guess re-advances from that step's
     start, (t_prev, x_prev, f_prev), whose first attempt is then the whole
     way to the guess; the next guess is a Newton step on the x1 and x1'
     reached. A zero x1', or _LOCATE_BUDGET re-advances that all miss the
     surface, raise IntegrationError naming the step.
     """
     at = hermite(stepper)  # before the first rewind moves the stepper
-    lo, hi = stepper.t_prev, stepper.t
-    g_lo, g_hi = stepper.x_prev[0], stepper.x[0]
+    lo, end = stepper.t_prev, stepper.t
+    g_lo = stepper.x_prev[0]
     if g_lo == 0.0:
         # leg started exactly on the surface; treat the start as region-side
         g_lo = region * SURFACE_TOL
-    start = (stepper.t_prev, stepper.x_prev, stepper.f_prev, hi - lo)
+    start = (stepper.t_prev, stepper.x_prev, stepper.f_prev, end - lo)
     guess = polish_bracketed_root(lambda t: at(t)[0], lo, hi, g_lo, g_hi, residual_tol=0.0) \
         if g_lo * g_hi < 0.0 else hi
 
@@ -692,7 +723,7 @@ def _locate_crossing(stepper: Dopri3, region: int) -> float:
             break
         guess -= val / deriv
     raise IntegrationError(
-        f"crossing in the step from t = {lo!r} to {hi!r} not located to "
+        f"crossing in the step from t = {lo!r} to {end!r} not located to "
         f"|x1| <= {SURFACE_TOL!r}: x1 = {val!r}, x1' = {deriv!r} at t = {stepper.t!r}")
 
 

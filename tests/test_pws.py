@@ -531,6 +531,21 @@ class TestLocateCrossing:
         assert traj.states[i][1] == pytest.approx(6.1e-7, rel=0.01)
         assert set(traj.modes[:i]) == {"free+"} and set(traj.modes[i + 1:]) == {"free-"}
 
+    def test_crossing_whose_excursion_fits_in_one_step(self):
+        # on f-, x1 is quadratic in t, and one accepted step covers its whole
+        # excursion through x1 = 0 (to about 0.0027) near t = 1.72-1.85; the
+        # end is the time-reversed start of the alpha -> -alpha run
+        sys = build_normal_form(TwoFoldParams(-1, -1, 2.640539049742811, -2.794729141191566,
+                                              0.3905539698663345))
+        traj = pf.integrate_pws(sys, (-1.594418713899311, 4.185029123744917,
+                                      1.7871867534448678), 2.0)
+        assert traj.events == 1
+        i = traj.modes.index("crossing")
+        assert traj.times[i] == pytest.approx(1.715, abs=1e-3)
+        assert all(x[0] < 0.0 for x in traj.states[:i])
+        assert traj.final_state == pytest.approx(
+            (0.21386499153821936, -0.8930789142005968, 0.8244410612089501), rel=0, abs=1e-10)
+
 
 class TestSurfaceDecision:
     # f1 = lambda - 2 lambda^3: roots -1/sqrt(2) and 1/sqrt(2) attract

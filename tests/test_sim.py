@@ -94,6 +94,17 @@ class TestIntegrateSmooth:
         with pytest.raises(ValueError, match="x0"):
             pf.integrate_pws(section6_system(False), x0, 1.0)
 
+    @pytest.mark.parametrize("x0", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4), (), ("0.1", 0.2, 0.3)])
+    def test_rejects_x0_that_is_not_three_reals(self, x0):
+        # a 2-vector raised IndexError and a 4-vector was cut to 3
+        sys = section6_system(False)
+        with pytest.raises(pf.ValidationError, match="x0 must be three finite reals"):
+            integrate_smooth(decay_field, x0, 1.0)
+        with pytest.raises(pf.ValidationError, match="x0 must be three finite reals"):
+            sim.regularized_trajectory(sys, pf.builtin_sigmoid("tanh"), 1e-3, x0, 1.0)
+        with pytest.raises(pf.ValidationError, match="x0 must be three finite reals"):
+            pf.integrate_pws(sys, x0, 1.0)
+
     def test_unknown_example_names_the_choices(self):
         with pytest.raises(pf.ValidationError) as err:
             pf.example_system("iv")
@@ -248,6 +259,15 @@ class TestCompareTrajectories:
         b = integrate_smooth(decay_field, (1.0, 1.0, 1.0), 0.5)
         with pytest.raises(ValueError):
             compare_trajectories(a, b, [0.75])
+
+    def test_nan_grid_time_raises(self):
+        # a NaN passed the range check, and both runs then read their end
+        # states: 0.0 for two runs that end alike
+        traj = integrate_smooth(decay_field, (1.0, 1.0, 1.0), 1.0)
+        with pytest.raises(pf.ValidationError, match="outside trajectory range"):
+            traj.state_at(math.nan)
+        with pytest.raises(pf.ValidationError, match="outside trajectory range"):
+            compare_trajectories(traj, traj, [0.5, math.nan])
 
 
 class TestTrajectoryCsv:

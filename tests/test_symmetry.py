@@ -1,4 +1,5 @@
-"""Side-swap symmetry of the two-fold normal form as an oracle.
+"""Side-swap and time-reversal symmetries of the two-fold normal form as
+oracles.
 
 The swap puts x1 -> -x1 and lambda -> -lambda and exchanges x2 with x3. It
 maps the normal form (a1, a2, b1, b2, alpha) onto (a2, a1, b2, b1, -alpha),
@@ -32,8 +33,38 @@ event-driven and regularized runs write their dense samples through
 pws._Recorder in all three of its modes (free, sliding, and labelled by
 sign(x1)).
 
-Tier-1 budget: at most 3 s for the module (about 0.6 s on one core of a
-2-core x86 host, Python 3.11).
+Time reversal. The normal form has f+ = (-x2, a1, b1), f- = (x3, b2, a2)
+and the hidden term (1 - lambda^2) (alpha, 0, 0). With R = diag(1, -1, -1)
+and x = R y, -R f+(x) = (-y2, a1, b1) = f+(y) and -R f-(x) = (y3, b2, a2)
+= f-(y), while -R turns the hidden term's alpha into -alpha. So if x(t)
+solves the normal form (a1, a2, b1, b2, alpha) off the surface on [0, T],
+y(s) = R x(T - s) solves (a1, a2, b1, b2, -alpha): a run from x0 to x(T)
+is retraced by the -alpha run from R x(T), which returns to R x0. What
+this maps:
+- f1+ = -x2 and f1- = x3 both change sign at R x, so the crossing region
+  x2 x3 < 0 maps onto itself, and attracting sliding (x2 > 0, x3 > 0)
+  onto repelling sliding (x2 < 0, x3 < 0). On the surface f1 of the image
+  at lambda is -f1 at lambda, so each sliding root keeps its lambda and
+  turns from attracting to repelling. A run that only crosses therefore
+  maps onto a run that only crosses, with the same number of crossings in
+  reverse order. A run that slides does not: forward, the integrator
+  leaves repelling sliding at once.
+- A canard passes from attracting to repelling sliding through a folded
+  singularity; reversed, it runs from the image of the repelling part
+  (now attracting) to the image of the attracting part (now repelling),
+  so it is again a canard, and a faux canard stays a faux canard. The
+  regularized system maps the same way (x1, hence lambda = phi(x1/eps),
+  is unchanged), so each folded point maps to the one at (-x2s, -x3s)
+  with the same phi_s, class and label.
+The reversed runs below come back to R x0 to 2.9e-13 (worst of seeds
+1-20 of the draw, about 100 runs per seed that cross and never slide);
+each crossing is placed to |x1| <= SURFACE_TOL = 1e-10, which bounds the
+return with a margin. A free leg that missed a crossing whose excursion
+through x1 = 0 began and ended inside one accepted step broke the count
+for 5 to 9 of about 110 such runs per seed, off by up to 5 in the state.
+
+Tier-1 budget: at most 3 s for the module (about 1.2 s on one core of a
+2-core x86 host, Python 3.11, of which the time-reversal runs take 0.5 s).
 """
 
 import random
@@ -52,6 +83,7 @@ EVENT_MIN_BIT_EXACT = 30   # of 40 runs
 EXIT_STATE_TOL = 1e-6      # relative, after the first sliding exit
 EXIT_LAMBDA_TOL = 1e-4
 REGULARIZED_TOL = 1e-12    # relative
+RETURN_TOL = 1e-10         # absolute, a time-reversed run's return to R x0
 MIRROR = {"free+": "free-", "free-": "free+", "sliding": "sliding", "crossing": "crossing"}
 
 
@@ -66,6 +98,14 @@ def swapped(p):
 
 def swap_state(x):
     return (-x[0], x[2], x[1])
+
+
+def reversed_form(p):
+    return TwoFoldParams(p.a1, p.a2, p.b1, p.b2, -p.alpha)
+
+
+def reverse_state(x):
+    return (x[0], -x[1], -x[2])
 
 
 def rel(u, v):
@@ -182,3 +222,42 @@ def test_regularized_runs_commute(name):
             assert state <= REGULARIZED_TOL and lam <= REGULARIZED_TOL, p
         layer_samples += sum(lam is not None for lam in a.lambdas)
     assert layer_samples > 0
+
+
+def test_folded_reports_reverse():
+    rng = random.Random(SEED)
+    seen = 0
+    for _ in range(40):
+        p = draw(rng)
+        for name in SIGMOID_NAMES:
+            s = builtin_sigmoid(name)
+            got, image = folded_reports(p, s), folded_reports(reversed_form(p), s)
+            assert len(got) == len(image)
+            for r, q in zip(got, image):
+                seen += 1
+                assert q.phi_s == r.phi_s
+                assert (q.x2s, q.x3s) == pytest.approx((-r.x2s, -r.x3s), abs=1e-12)
+                assert (q.folded_class, q.canard, q.flavour, q.determinacy_breaking) == \
+                    (r.folded_class, r.canard, r.flavour, r.determinacy_breaking)
+    assert seen > 40
+
+
+def test_crossing_runs_reverse():
+    """About 500 seeded draws, T = 2: each forward run that crosses at least
+    once and never slides is retraced by the time-reversed run."""
+    rng = random.Random(SEED)
+    pairs = 0
+    for _ in range(500):
+        p = draw(rng)
+        x0 = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        a = pf.integrate_pws(build_normal_form(p), x0, 2.0)
+        if a.events == 0 or "sliding" in a.modes:
+            continue
+        pairs += 1
+        b = pf.integrate_pws(build_normal_form(reversed_form(p)),
+                             reverse_state(a.final_state), 2.0)
+        assert "sliding" not in b.modes, (p, x0)
+        assert b.events == a.events, (p, x0)
+        back = reverse_state(b.final_state)
+        assert max(abs(u - v) for u, v in zip(back, x0)) <= RETURN_TOL, (p, x0)
+    assert pairs >= 50

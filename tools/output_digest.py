@@ -4,23 +4,24 @@
 
 Run from anywhere; the package is imported from this checkout's src/. The
 outputs are the trajectory CSVs of event-driven runs on every bundled system,
-on a system whose f1 is cubic in lambda, on two invisible_db starts that
-slide into its folded node, and on three starts that reach the tangency and
-no-sliding-root policies (a grazing arrival that slides, one that crosses,
-and a start on the surface where f1 has no root); regularized runs of
-examples i-iii at eps 1e-3 with each built-in sigmoid, and at eps 1e-4 and
-1e-5; one event-driven run (with sliding legs and crossings) and one
+on a system whose f1 is cubic in lambda, on two invisible_db starts that slide
+into its folded node, and on three starts that reach the tangency and
+no-sliding-root policies (a grazing arrival that slides, one that crosses, and
+a start on the surface where f1 has no root); a normal-form run whose one
+crossing is an excursion through x1 = 0 inside one accepted step; regularized
+runs of examples i-iii at eps 1e-3 with each built-in sigmoid, and at eps 1e-4
+and 1e-5; one event-driven run (with sliding legs and crossings) and one
 regularized run at dense-output stride 1e-3, which write many samples per
-accepted step; the manifold CSV, with its non-hyperbolic curve, of a bundled normal
-form and of one with another alpha (the only parameter that shapes a normal
-form's manifold), and the manifold CSV of the lambda-cubic system (the
+accepted step; the manifold CSV, with its non-hyperbolic curve, of a bundled
+normal form and of one with another alpha (the only parameter that shapes a
+normal form's manifold), and the manifold CSV of the lambda-cubic system (the
 root-scan path); the CSV of a regularized `examples` run; the exit code,
 standard output and CSVs of a 3-start `simulate` batch, whose starts run in
 forked processes on a host with more than one CPU; the JSON that the CLI's
-classify, fit and folded commands write for the bundled normal forms; and
-the exit code, standard output and standard error of failing CLI calls, one
-per error path and one for a batch whose failing start runs in a child
-(temporary paths replaced by a fixed token).
+classify, fit and folded commands write for the bundled normal forms; and the
+exit code, standard output and standard error of failing CLI calls, one per
+error path and one for a batch whose failing start runs in a child (temporary
+paths replaced by a fixed token).
 Then the critical-manifold quantities, as float.hex text: surface_curvature
 of every bundled system on both sides of a grid of surface points, and
 slow_u_dot, degeneracy_probe and folded_conditions_residuals of the bundled
@@ -78,7 +79,9 @@ FINE_STRIDE_REGULARIZED = ("iii", (0.1, 0.1, 0.1), 5.0)
 CUBIC_SYSTEM = (("-1", "-1", "0"), ("1", "-1", "0"), ("0.2 + 0.1*lambda", "0", "0"))
 # (name, system, start, t_end): f+ = (-10 x1, 1, 0) grazes x1 = 0 near
 # t = 2.013, where f- makes it slide or cross; the normal form started in its
-# crossing region x2 x3 < 0 has no sliding root and leaves to sign(f1).
+# crossing region x2 x3 < 0 has no sliding root and leaves to sign(f1); the
+# last normal form's x1 dips through 0 and back within one accepted step,
+# near t = 1.72, where only the step's cubic shows the crossing.
 POLICY_CASES = (
     ("tangency_slide", PiecewiseSystem.from_strings(("-10*x1", "1", "0"), ("1", "0", "1")),
      (0.01, 0.0, 0.0), 5.0),
@@ -86,6 +89,10 @@ POLICY_CASES = (
      (0.01, 0.0, 0.0), 5.0),
     ("no_sliding_root", build_normal_form(TwoFoldParams(1, 1, -2, -1, 0.0)),
      (0.0, 1.0, -1.0), 1.0),
+    ("crossing_inside_one_step",
+     build_normal_form(TwoFoldParams(-1, -1, 2.640539049742811, -2.794729141191566,
+                                     0.3905539698663345)),
+     (-1.594418713899311, 4.185029123744917, 1.7871867534448678), 2.0),
 )
 # (example, eps, t_end, sigmoid): regularized runs deep in the layer regime.
 SMALL_EPS_CASES = (
