@@ -47,8 +47,9 @@ this maps:
   at lambda is -f1 at lambda, so each sliding root keeps its lambda and
   turns from attracting to repelling. A run that only crosses therefore
   maps onto a run that only crosses, with the same number of crossings in
-  reverse order. A run that slides does not: forward, the integrator
-  leaves repelling sliding at once.
+  reverse order. A run that slides is not compared: its image would have
+  to slide on a repelling sheet, where the forward flow is not unique and
+  the integrator prefers an attracting root where one exists.
 - A canard passes from attracting to repelling sliding through a folded
   singularity; reversed, it runs from the image of the repelling part
   (now attracting) to the image of the attracting part (now repelling),
@@ -57,13 +58,13 @@ this maps:
   is unchanged), so each folded point maps to the one at (-x2s, -x3s)
   with the same phi_s, class and label.
 The reversed runs below come back to R x0 to 2.9e-13 (worst of seeds
-1-20 of the draw, about 100 runs per seed that cross and never slide);
-each crossing is placed to |x1| <= SURFACE_TOL = 1e-10, which bounds the
-return with a margin. A free leg that missed a crossing whose excursion
+1-20 of the draw, about 100 runs per seed that cross and never slide).
+The bound, 1e-10, is SURFACE_TOL, to which each crossing is placed, and
+over 300 times that reading. A free leg that missed a crossing whose excursion
 through x1 = 0 began and ended inside one accepted step broke the count
 for 5 to 9 of about 110 such runs per seed, off by up to 5 in the state.
 
-Tier-1 budget: at most 3 s for the module (about 1.2 s on one core of a
+Tier-1 budget: at most 3 s for the module (about 0.7 s on one core of a
 2-core x86 host, Python 3.11, of which the time-reversal runs take 0.5 s).
 """
 
