@@ -3,22 +3,26 @@
 The stepper is specialized (unrolled) for state tuples of length 3; the
 event-driven integrator reuses it for sliding flow with the state
 (lambda, x2, x3) on the surface x1 = 0. FSAL: the last stage of an accepted
-step seeds the next. The stepper keeps the start of its last accepted step
-(t_prev, x_prev, f_prev); event location rewinds to it and re-advances.
-Step sizes are bounded by the error control and the target time only. In
-the stiff layer of a regularized system the error control alone holds the
-step near the explicit pair's stability boundary. A stepper starts from an
-estimated step unless given one: each leg of an event-driven run after its
-first starts at the last step its predecessor accepted before its surface
-event was located, so it does not ramp up again from a tiny step.
+step seeds the next. A stepper is built from the run's IntegratorOptions:
+it reads their rel_tol, abs_tol and max_steps as attributes, so this module
+imports nothing from pws. Step sizes are bounded by the error control and
+the target time only. In the stiff layer of a regularized system the error
+control alone holds the step near the explicit pair's stability boundary.
+A stepper starts from an estimated step unless given one: each leg of an
+event-driven run after its first starts at the last step its predecessor
+accepted before its surface event was located, so it does not ramp up again
+from a tiny step.
 
 The accepted step. A stepper gives dense output and event location its
 last accepted step as six attributes: the start t_prev, x_prev, f_prev
 (time, state, slope) and the end t, x, f. Between them the state is the
 cubic Hermite of the endpoint states and slopes, whose coefficients
-hermite_coefficients gives. Dense output (pws._Recorder) reads the step's
-attributes and evaluates the cubic at each stride multiple inside it; event
-location and the sliding-exit bisection evaluate it through hermite(step).
+hermite_coefficients gives. Callers read those attributes and never rewind
+a stepper (a sliding leg only puts each step's end back on its manifold):
+dense output (pws._Recorder) evaluates the cubic at each stride multiple
+inside the step, the sliding-exit bisection evaluates it through
+hermite(step), and event location re-advances a copy of the stepper from
+the step's start.
 """
 
 # On per-step paths, max() and min() are written as comparisons in the
@@ -92,19 +96,17 @@ def hermite(step):
 class Dopri3:
     """One 3-component Dormand-Prince integrator.
 
-    field(t, x) must return a tuple of 3 floats.
+    field(t, x) must return a tuple of 3 floats. opts is the run's
+    pws.IntegratorOptions, whose rel_tol, abs_tol and max_steps the stepper
+    uses.
     """
 
-    def __init__(self, field, t0: float, x0, *, rtol: float = 1e-8,
-                 atol: float = 1e-10, max_steps: int = 50_000_000,
-                 h: float | None = None):
+    def __init__(self, field, t0: float, x0, opts, h: float | None = None):
         self.field = field
         self.t = float(t0)
         self.x = (float(x0[0]), float(x0[1]), float(x0[2]))
         self.f = field(self.t, self.x)
-        self.rtol = rtol
-        self.atol = atol
-        self.max_steps = max_steps
+        self.rtol, self.atol, self.max_steps = opts.rel_tol, opts.abs_tol, opts.max_steps
         self.nsteps = 0
         # h, the first step to try, defaults to an estimate from the start
         if h is None:
@@ -112,7 +114,7 @@ class Dopri3:
         # never below the 16 ulp under which step_to raises StepUnderflowError
         self.h = max(h, 32.0 * math.ulp(max(abs(self.t), 1.0)))
         # previous accepted endpoint: the accepted step's start, for dense
-        # output and event rewind
+        # output and event location
         self.t_prev = self.t
         self.x_prev = self.x
         self.f_prev = self.f

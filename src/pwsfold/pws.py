@@ -427,7 +427,9 @@ class Trajectory:
 
 @dataclass
 class IntegratorOptions:
-    """Tolerances, budgets and dense output for both integrators.
+    """Tolerances, budgets and dense output for both integrators, and the
+    configuration of every stepper they build (_rk.Dopri3 reads rel_tol,
+    abs_tol and max_steps from them).
 
     rel_tol and abs_tol must be positive and finite, and so must
     dense_output_stride (the spacing of dense samples); a run makes at most
@@ -553,11 +555,13 @@ def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
     until lambda reaches +-1 or df1/dlambda changes sign (a fold of the
     manifold, or a folded singularity). The legs only integrate: what
     follows a start on the surface, an arrival on it and a sliding exit is
-    decided, counted and recorded by _next_region alone. The first leg
-    starts from an estimated step; each later leg starts at the last step
-    its predecessor accepted before its event was located (at a sliding
-    exit taken where the steps collapse, the last one accepted), and error
-    control trims it as usual. Repelling sliding continues but sets the
+    decided, counted and recorded by _next_region alone; a sliding exit
+    hands it the one lambda that the exit records. A leg that reaches t_end
+    without an event returns the step h None. The first leg starts from an
+    estimated step; each later leg starts at the step its predecessor
+    accepted last, the one that met its event (at a sliding exit taken
+    where the steps collapse, the last one accepted), and error control
+    trims it as usual. Repelling sliding continues but sets the
     trajectory's non_unique flag. x0 must be three finite reals, t_end
     positive and finite, and t_end / dense_output_stride at most MAX_SAMPLES
     (ValidationError otherwise).
@@ -584,18 +588,18 @@ def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
             if arrived:
                 region, lam = _next_region(sys, traj, t, x, region)
         else:
-            t, x, lam, lam_end, h = _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h)
-            if lam_end is not None:
-                region, lam = _next_region(sys, traj, t, x, 0, lam, lam_end)
+            t, x, lam, h = _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h)
+            if h is not None:
+                region, lam = _next_region(sys, traj, t, x, 0, lam)
     return traj
 
 
-def _next_region(sys, traj, t, x, came_from: int, lam=None, lam_end=None):
+def _next_region(sys, traj, t, x, came_from: int, lam=None):
     """Decide what follows a surface event at (t, x); returns (region, lam).
 
     The event is a free leg's arrival from region came_from = +-1, a start
-    on the surface (came_from 0), or a sliding leg's exit where lambda
-    reached lam_end (came_from 0; lam is that exit put back on f1 = 0).
+    on the surface (came_from 0, lam None), or a sliding leg's exit at the
+    root lam of f1 that the exit records (came_from 0).
     This is the one place that counts a surface event, one for an arrival
     or an exit and none for a start, and appends the event's one record.
 
@@ -608,17 +612,17 @@ def _next_region(sys, traj, t, x, came_from: int, lam=None, lam_end=None):
       or, where none attracts, of all, which sets non_unique. With no root
       the flow leaves towards sign f1(lambda = 0) and the record has no
       lambda (and keeps a start's x1).
-    - Exit: towards sign(lam_end) at lambda = +-1. At a fold, where
+    - Exit: towards sign(lam) where |lam| >= 1. At a fold, where
       f1 ~ a (lambda - lambda_f)^2 + c, towards sign(a): the side the
       layer flow departs to.
     """
     x2, x3 = x[1], x[2]
     f1_dlam = sys.f1_dlambda
-    if lam_end is not None:
+    if lam is not None:
         traj.events += 1
-        away = lam_end
-        if abs(lam_end) < 1.0:
-            away = f1_dlam(0.0, x2, x3, lam_end + 1e-6) - f1_dlam(0.0, x2, x3, lam_end - 1e-6)
+        away = lam
+        if abs(lam) < 1.0:
+            away = f1_dlam(0.0, x2, x3, lam + 1e-6) - f1_dlam(0.0, x2, x3, lam - 1e-6)
         traj.append(t, x, "sliding", lam)
         return 1 if away > 0 else -1, None
     if came_from:
@@ -644,8 +648,9 @@ def _next_region(sys, traj, t, x, came_from: int, lam=None, lam_end=None):
 def _free_leg(sys, t, x, region, t_end, opts, traj, rec, h):
     """Integrate one open-region segment, starting with step h (None: an
     estimate), until the flow reaches x1 = 0 or t_end; returns
-    (t, x, arrived, h), with x on the surface and h the last accepted step,
-    before event location, when arrived.
+    (t, x, arrived, h), with x on the surface and h the length of the step
+    that crossed when arrived, else h None. The stepper is only read:
+    _locate_crossing places the crossing on a copy of it.
 
     A step crosses where its end lies on or past the surface, or where x1
     turns back inside it (x1' points at the surface at its start and away
@@ -653,8 +658,7 @@ def _free_leg(sys, t, x, region, t_end, opts, traj, rec, h):
     SURFACE_TOL at its turning point; the crossing is then bracketed by the
     step's start and that turning point.
     """
-    stepper = Dopri3(sys.branch_field(region), t, x, rtol=opts.rel_tol,
-                     atol=opts.abs_tol, max_steps=opts.max_steps, h=h)
+    stepper = Dopri3(sys.branch_field(region), t, x, opts, h)
     mode = _free_mode(region)
     while stepper.t < t_end:
         stepper.step_to(t_end)
@@ -669,10 +673,9 @@ def _free_leg(sys, t, x, region, t_end, opts, traj, rec, h):
         if not crossed:
             rec.emit_through(stepper.t, stepper, mode)
             continue
-        step = copy.copy(stepper)  # the crossing step, which locating rewinds
-        t_ev = _locate_crossing(stepper, region, *far)
-        rec.emit_through(t_ev, step, mode)
-        return t_ev, (0.0, stepper.x[1], stepper.x[2]), True, step.t - step.t_prev
+        t_ev, x_ev = _locate_crossing(stepper, region, *far)
+        rec.emit_through(t_ev, stepper, mode)
+        return t_ev, (0.0, x_ev[1], x_ev[2]), True, stepper.t - stepper.t_prev
     rec.emit_through(t_end, stepper, mode)
     traj.append(t_end, stepper.x, mode, None)
     return stepper.t, stepper.x, False, None
@@ -691,40 +694,42 @@ def _turning_point(step) -> tuple[float, float]:
     return step.t, step.x[0]  # the root rounded onto an end: no turn inside
 
 
-def _locate_crossing(stepper: Dopri3, region: int, hi: float, g_hi: float) -> float:
-    """Move the stepper so its state sits on x1 = 0 to SURFACE_TOL.
+def _locate_crossing(step: Dopri3, region: int, hi: float, g_hi: float):
+    """(t, x) where the accepted step of step, which crossed, meets x1 = 0
+    to SURFACE_TOL; step itself is only read.
 
-    The stepper's last accepted step crossed, and x1 = g_hi at time hi of
-    that step (its end, or where its cubic turns back past the surface).
-    The Illinois root of x1 of the step's hermite between the step's start
-    and hi is the first guess. Each guess re-advances from that step's
-    start, (t_prev, x_prev, f_prev), whose first attempt is then the whole
-    way to the guess; the next guess is a Newton step on the x1 and x1'
-    reached. A zero x1', or _LOCATE_BUDGET re-advances that all miss the
+    x1 = g_hi at time hi of the step (its end, or where its cubic turns back
+    past the surface). The Illinois root of x1 of the step's hermite between
+    the step's start and hi is the first guess. Each guess re-advances a
+    copy of step from the step's start, (t_prev, x_prev, f_prev), whose
+    first attempt is then the whole way to the guess; the next guess is a
+    Newton step on the x1 and x1' reached. The copy starts from step's
+    attempt count, so its attempts count against max_steps with the leg's
+    own. A zero x1', or _LOCATE_BUDGET re-advances that all miss the
     surface, raise IntegrationError naming the step.
     """
-    at = hermite(stepper)  # before the first rewind moves the stepper
-    lo, end = stepper.t_prev, stepper.t
-    g_lo = stepper.x_prev[0]
+    lo, end = step.t_prev, step.t
+    g_lo = step.x_prev[0]
     if g_lo == 0.0:
         # leg started exactly on the surface; treat the start as region-side
         g_lo = region * SURFACE_TOL
-    start = (stepper.t_prev, stepper.x_prev, stepper.f_prev, end - lo)
+    at = hermite(step)
     guess = polish_bracketed_root(lambda t: at(t)[0], lo, hi, g_lo, g_hi, residual_tol=0.0) \
         if g_lo * g_hi < 0.0 else hi
 
+    probe = copy.copy(step)
     for _ in range(_LOCATE_BUDGET):
-        stepper.t, stepper.x, stepper.f, stepper.h = start
-        stepper.advance_to(guess)
-        val, deriv = stepper.x[0], stepper.f[0]
+        probe.t, probe.x, probe.f, probe.h = lo, step.x_prev, step.f_prev, end - lo
+        probe.advance_to(guess)
+        val, deriv = probe.x[0], probe.f[0]
         if abs(val) <= SURFACE_TOL:
-            return stepper.t
+            return probe.t, probe.x
         if deriv == 0.0:
             break
         guess -= val / deriv
     raise IntegrationError(
         f"crossing in the step from t = {lo!r} to {end!r} not located to "
-        f"|x1| <= {SURFACE_TOL!r}: x1 = {val!r}, x1' = {deriv!r} at t = {stepper.t!r}")
+        f"|x1| <= {SURFACE_TOL!r}: x1 = {val!r}, x1' = {deriv!r} at t = {probe.t!r}")
 
 
 def _resolve_tangency(sys, x) -> int:
@@ -748,9 +753,10 @@ def _resolve_tangency(sys, x) -> int:
 def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h):
     """Integrate one sliding segment on x1 = 0 from the root lam of f1,
     starting with step h (None: an estimate), until it leaves its sheet of
-    f1 = 0 or reaches t_end; returns (t, x, lam, lam_end, h): lam_end is the
-    lambda where it left (None at t_end), lam the end put back on f1 = 0
-    and h the last accepted step before the exit was located.
+    f1 = 0 or reaches t_end; returns (t, x, lam, h): lam is the end's
+    lambda, on f1 = 0, and h the length of the last accepted step where it
+    left, else h None. At an exit, lam is the one lambda the exit records
+    and _next_region reads its side from.
 
     Each accepted step's end and each dense sample (which _Recorder takes
     from the step's cubic Hermite) is put back on f1 = 0 by one Newton step
@@ -770,8 +776,7 @@ def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h):
     def left(s):
         return abs(s[0]) >= 1.0 or (f1_dlam(0.0, s[1], s[2], s[0]) < 0.0) != attracting
 
-    stepper = Dopri3(sys._sliding_field, t, (lam, x2, x3), rtol=opts.rel_tol,
-                     atol=opts.abs_tol, max_steps=opts.max_steps, h=h)
+    stepper = Dopri3(sys._sliding_field, t, (lam, x2, x3), opts, h)
     while stepper.t < t_end:
         try:
             stepper.step_to(t_end)
@@ -802,7 +807,7 @@ def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h):
         rec.emit_through(t_end, stepper, "sliding", project)
         lam, x2, x3 = stepper.x
         traj.append(t_end, (0.0, x2, x3), "sliding", lam)
-        return stepper.t, (0.0, x2, x3), lam, None, None
+        return stepper.t, (0.0, x2, x3), lam, None
     h = stepper.t - stepper.t_prev
     lam, x2, x3 = s
     # near a fold lambda ~ sqrt(t_ev - t), which the step's cubic interpolant
@@ -814,4 +819,4 @@ def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h):
     else:
         raise SlidingResidualError(
             f"sliding exit at (x2, x3) = ({x2!r}, {x3!r}) stays off f1 = 0")
-    return t_ev, (0.0, x2, x3), lam, s[0], h
+    return t_ev, (0.0, x2, x3), lam, h

@@ -39,8 +39,7 @@ def integrate_smooth(field: Callable, x0, t_end: float,
     """
     opts = opts or IntegratorOptions()
     _check_start(x0, t_end, opts.dense_output_stride)
-    stepper = Dopri3(field, 0.0, x0, rtol=opts.rel_tol, atol=opts.abs_tol,
-                     max_steps=opts.max_steps)
+    stepper = Dopri3(field, 0.0, x0, opts)
     traj = Trajectory()
     traj.append(0.0, stepper.x, _free_mode(stepper.x[0]), None)
     emit = _Recorder(traj, opts.dense_output_stride).emit_through

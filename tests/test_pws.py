@@ -12,8 +12,8 @@ from pwsfold import cli, expr as ex
 from pwsfold.cli import load_system_file
 from pwsfold.exceptions import (IntegrationError, SlidingResidualError, StepUnderflowError,
                                 ValidationError)
-from pwsfold._rk import hermite
-from pwsfold.pws import PwsOptions, _Recorder, _resolve_tangency
+from pwsfold._rk import Dopri3, hermite
+from pwsfold.pws import PwsOptions, _locate_crossing, _Recorder, _resolve_tangency
 from pwsfold.roots import real_quadratic_roots
 from pwsfold.twofold import TwoFoldParams, build_normal_form
 
@@ -426,6 +426,19 @@ class TestIntegratePws:
 
 
 class TestSlidingLeg:
+    def test_exit_that_newton_cannot_put_back_on_f1_raises(self):
+        # mixed_db from (0.5, 1, 1) leaves a fold near t = 1.42; with
+        # df1/dlambda scaled by 10 each Newton step in lambda covers a tenth
+        # of the way, and 30 of them leave the exit off f1 = 0 (at a scale
+        # of 3 the run still passes)
+        sys = bundled("mixed_db")
+        f1_dlam = sys.f1_dlambda
+        sys.__dict__["f1_dlambda"] = lambda x1, x2, x3, lam: 10.0 * f1_dlam(x1, x2, x3, lam)
+        with pytest.raises(SlidingResidualError, match=r"sliding exit at \(x2, x3\) = "
+                           r"\(0\.0612\d*, -0\.4184\d*\) stays off f1 = 0") as info:
+            pf.integrate_pws(sys, (0.5, 1.0, 1.0), 2.0)
+        assert info.type is SlidingResidualError
+
     def test_gets_past_the_folded_node_promptly(self):
         # this start slides into the folded node of invisible_db at t = 4.36;
         # a run past it once stalled for minutes near lambda = -1
@@ -492,7 +505,10 @@ class TestLegRestart:
     def test_legs_after_an_event_do_not_ramp_up_again(self, monkeypatch):
         # 39 surface events; with every leg starting from a ~1e-10 step
         # estimate this run took 1331 Runge-Kutta attempts, with each leg
-        # after the first starting at its predecessor's last step, 845
+        # after the first starting at its predecessor's last step, 845. Both
+        # counts include the 76 attempts that locate the crossings; those
+        # run on copies of the legs' steppers, so the steppers built here
+        # count 769
         steppers = []
 
         class Recorded(pf.pws.Dopri3):
@@ -508,6 +524,20 @@ class TestLegRestart:
 
 
 class TestLocateCrossing:
+    def test_leaves_the_accepted_step_as_it_was(self):
+        # x1 = 0.3 - t on f+: the leg's stepper is read, never rewound
+        sys = pf.PiecewiseSystem.from_strings(("-1", "1", "0"), ("1", "1", "0"))
+        stepper = Dopri3(sys.branch_field(1), 0.0, (0.3, 0.0, 0.0), PwsOptions())
+        while stepper.x[0] > 0.0:
+            stepper.step_to(1.0)
+        names = ("t_prev", "x_prev", "f_prev", "t", "x", "f", "h", "nsteps")
+        before = [getattr(stepper, name) for name in names]
+        t, x = _locate_crossing(stepper, 1, stepper.t, stepper.x[0])
+        assert [getattr(stepper, name) for name in names] == before
+        assert stepper.t_prev < t < stepper.t
+        assert t == pytest.approx(0.3, abs=1e-9)
+        assert abs(x[0]) <= 1e-10
+
     def test_spent_budget_raises(self, monkeypatch, capsys):
         # most crossings of this run are placed by the second re-advance
         monkeypatch.setattr(pf.pws, "_LOCATE_BUDGET", 1)

@@ -60,7 +60,8 @@ class TestHermite:
         assert hermite(accepted_step(2.0, (0.0, 0.0, 0.0), x1, 2.0, x1, x1))(2.0) is x1
 
     def test_stepper_interpolant_spans_last_step(self):
-        stepper = Dopri3(lambda t, x: (x[1], -x[0], 1.0), 0.0, (1.0, 0.0, 0.0))
+        stepper = Dopri3(lambda t, x: (x[1], -x[0], 1.0), 0.0, (1.0, 0.0, 0.0),
+                         IntegratorOptions())
         stepper.step_to(1.0)
         stepper.step_to(1.0)
         at = hermite(stepper)
@@ -82,12 +83,12 @@ def counted(field):
 
 def layer_stepper(rtol=None):
     # example iii at eps 1e-3 reaches the layer by t = 20; rtol None keeps
-    # the stepper's default
+    # the options' default
     field = compile_regularized_field(example_system("iii"),
                                       builtin_sigmoid("tanh"), 1e-3)
     wrapped, calls = counted(field)
-    tol = {} if rtol is None else {"rtol": rtol}
-    return Dopri3(wrapped, 0.0, (0.1, 0.1, 0.1), **tol), calls
+    tol = {} if rtol is None else {"rel_tol": rtol}
+    return Dopri3(wrapped, 0.0, (0.1, 0.1, 0.1), IntegratorOptions(**tol)), calls
 
 
 def nan_seventh_stage():
@@ -119,7 +120,7 @@ class TestStepper:
     def test_fresh_stepper_starts_above_its_underflow_floor(self):
         # 0.01 (atol + rtol |x|) / |f| is 1.7e-15 here, under 16 ulp(100)
         stepper = Dopri3(lambda t, x: (0.0, 1.0, 1.0), 100.0, (0.0, 0.0, 0.0),
-                         rtol=1e-11, atol=1e-13)
+                         IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13))
         stepper.advance_to(101.0)
         assert stepper.t == 101.0
         assert stepper.x == pytest.approx((0.0, 1.0, 1.0), rel=1e-12)
@@ -141,7 +142,7 @@ class TestStepper:
         def field(t, x):
             return (1.0 if x[0] < 0.5 else math.inf, 0.0, 0.0)
 
-        stepper = Dopri3(field, 0.0, (0.0, 0.0, 0.0))
+        stepper = Dopri3(field, 0.0, (0.0, 0.0, 0.0), IntegratorOptions())
         with pytest.raises(StepUnderflowError):
             stepper.advance_to(1.0)
         assert stepper.t == pytest.approx(0.5, abs=1e-12)
@@ -153,7 +154,7 @@ class TestStepper:
         # the seventh stage of every attempt is NaN, so the end state is
         # finite but the error estimate is NaN: max(0.2, NaN) is 0.2
         field, sevenths = nan_seventh_stage()
-        stepper = Dopri3(field, 0.0, (0.0, 0.0, 0.0), h=1.0)
+        stepper = Dopri3(field, 0.0, (0.0, 0.0, 0.0), IntegratorOptions(), h=1.0)
         with pytest.raises(StepUnderflowError):
             stepper.advance_to(1.0)
         # from t = 0 the seventh stage sits at t + h = h
@@ -177,7 +178,7 @@ class TestStepCounter:
                 raise ZeroDivisionError("field")
             return (x[1], -x[0], 1.0)
 
-        stepper = Dopri3(field, 0.0, (1.0, 0.0, 0.0))
+        stepper = Dopri3(field, 0.0, (1.0, 0.0, 0.0), IntegratorOptions())
         with pytest.raises(ZeroDivisionError, match="field"):
             stepper.advance_to(10.0)
         assert stepper.nsteps == n
@@ -186,7 +187,7 @@ class TestStepCounter:
         n = 4
         field, _ = nan_seventh_stage()
         wrapped, calls = counted(field)
-        stepper = Dopri3(wrapped, 0.0, (0.0, 0.0, 0.0), h=1.0, max_steps=n)
+        stepper = Dopri3(wrapped, 0.0, (0.0, 0.0, 0.0), IntegratorOptions(max_steps=n), h=1.0)
         with pytest.raises(StepBudgetError):
             stepper.advance_to(1.0)
         assert stepper.nsteps == n
