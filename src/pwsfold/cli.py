@@ -3,8 +3,9 @@
 Commands: classify, folded, fit, show, manifold, simulate, examples. System
 definitions are JSON files (expression fields or a normal_form block);
 reports are JSON on stdout, bulk numeric output is CSV. Exit codes: 0
-success; 2 input error, a ValidationError; 3 any other failure, a failure
-to compute, whose message names the system file.
+success; 2 input error, a ValidationError, an output path that cannot be
+written included; 3 any other failure, a failure to compute, whose message
+names the system file.
 
 simulate and examples run several --x0 starts on up to one process per CPU
 in os.sched_getaffinity, the children forked from this one (_batch); the
@@ -140,12 +141,17 @@ def _parse_x0(spec: str) -> tuple[float, float, float]:
     return x0  # type: ignore[return-value]
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, text: str, flag: str = "--out") -> None:
+    """Write text to path, or to stdout for None or '-'. A path that cannot
+    be written is an input error naming flag, the option that gave it."""
     if path is None or path == "-":
         _sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"{flag}: {exc}") from exc
 
 
 # --- commands ----------------------------------------------------------------
@@ -243,7 +249,7 @@ def cmd_manifold(args) -> int:
     _write_text(args.out, critical_manifold_csv(points))
     if samples is not None:
         if args.lcurve_out is not None:
-            _write_text(args.lcurve_out, nonhyperbolic_curve_csv(samples))
+            _write_text(args.lcurve_out, nonhyperbolic_curve_csv(samples), "--lcurve-out")
         elif args.out is not None and args.out != "-":
             _write_text(args.out + ".lcurve.csv", nonhyperbolic_curve_csv(samples))
     return 0
@@ -258,6 +264,8 @@ def _simulate(system: PiecewiseSystem, args, default_x0) -> int:
         raise ValidationError("--stride: must be positive and finite")
     if args.eps is not None and not 0.0 < args.eps < math.inf:
         raise ValidationError("--eps: must be positive and finite")
+    if args.eps is not None and not 1.0 / args.eps < math.inf:
+        raise ValidationError(f"--eps: 1/eps must be finite, got {args.eps!r}")
     opts = sim.IntegratorOptions(dense_output_stride=args.stride)
     if args.t_end > MAX_SAMPLES * args.stride:
         raise ValidationError(f"--stride: --t-end / --stride must not exceed {MAX_SAMPLES}")

@@ -472,6 +472,16 @@ class TestSimulate:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_eps_with_an_overflowing_reciprocal_exit_2(self, tmp_path, capsys, monkeypatch):
+        # 1/1e-320 overflows: rejected with its flag before any start runs
+        monkeypatch.setattr(multiprocessing, "get_context", forbid_fork)
+        monkeypatch.setattr(sim, "regularized_trajectory", forbid_fork)
+        out = tmp_path / "e.csv"
+        assert run(["examples", "i", "--eps", "1e-320", "--t-end", "1", "--x0=0.1,-0.5,0.5",
+                    "--x0=0.2,-0.5,0.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --eps: 1/eps must be finite, got 1e-320\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_batch_requires_out(self, capsys):
         assert run(["simulate", bundled("section6_linear.json"),
                     "--mode", "pws", "--t-end", "1",
@@ -498,6 +508,41 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ZeroDivisionError")
         assert err.endswith(f"(system file: {path})\n")
+
+
+class TestOutputPaths:
+    """An output path that cannot be opened is an input error that names
+    its flag; files written before it stay."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", bundled("example_ii.json"), "--mode", "pws", "--t-end", "1"],
+        ["classify", bundled("invisible_db.json")]])
+    def test_single_output_exit_2(self, tmp_path, capsys, argv):
+        # a directory, and a file in a directory that does not exist
+        for out in (tmp_path, tmp_path / "missing" / "x.csv"):
+            assert run(argv + ["--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: --out: [Errno ") and f"'{out}'" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_batch_keeps_the_files_written_before(self, tmp_path, capsys):
+        (tmp_path / "b.1.csv").mkdir()
+        assert run(["simulate", bundled("example_ii.json"), "--mode", "pws", "--t-end", "1",
+                    "--x0=0.1,0.1,0.1", "--x0=0.2,0.1,0.1", "--x0=0.3,0.1,0.1",
+                    "--out", str(tmp_path / "b.csv")]) == 2
+        printed = capsys.readouterr()
+        assert printed.out.count("events=") == 1
+        assert printed.err == f"error: --out: [Errno 21] Is a directory: '{tmp_path / 'b.1.csv'}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.0.csv", "b.1.csv"]
+        assert (tmp_path / "b.0.csv").read_text().startswith("t,x1,x2,x3,lambda,mode\n")
+
+    def test_lcurve_out_exit_2_after_out_is_written(self, tmp_path, capsys):
+        lcurve = tmp_path / "missing" / "l.csv"
+        assert run(["manifold", bundled("invisible_db.json"), "--x2=-1:1:3", "--x3=-1:1:3",
+                    "--out", str(tmp_path / "m.csv"), "--lcurve-out", str(lcurve)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --lcurve-out: [Errno 2] ") and f"'{lcurve}'" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
 
 
 def forbid_fork(*args, **kwargs):

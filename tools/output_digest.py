@@ -198,6 +198,16 @@ def _error_cases(tmp: str):
     # the failing second start runs in a forked child on a host with 2+ CPUs
     yield "batch_failure", ["simulate", singular, "--mode", "pws", "--t-end", "2",
                             "--x0=-5,0,0", "--x0=1,0,0"] + out
+    yield "eps_reciprocal_overflow", ["examples", "i", "--eps", "1e-320",
+                                      "--t-end", "1"] + out
+    # output paths that cannot be opened: a directory, a missing directory
+    pws_run = ["simulate", _system_path("example_ii"), "--mode", "pws", "--t-end", "1"]
+    yield "out_is_directory", pws_run + ["--out", tmp]
+    yield "batch_out_missing_directory", pws_run + [
+        "--x0=0.1,0.1,0.1", "--x0=0.2,0.1,0.1", "--out", os.path.join(tmp, "missing", "b.csv")]
+    yield "lcurve_out_missing_directory", manifold + [
+        "--x2=-1:1:3", "--x3=-1:1:3", "--out", os.path.join(tmp, "kept.csv"),
+        "--lcurve-out", os.path.join(tmp, "missing", "l.csv")]
 
 
 def _hex_or_error(fn, *args) -> str:
