@@ -553,18 +553,21 @@ def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
     crossing located to |x1| <= SURFACE_TOL. A sliding leg integrates
     (lambda, x2, x3) on the critical manifold f1(0, x2, x3, lambda) = 0
     until lambda reaches +-1 or df1/dlambda changes sign (a fold of the
-    manifold, or a folded singularity). The legs only integrate: what
+    manifold, or a folded singularity). The legs only integrate: each
+    returns one report (t, x, side, lam, h) of where it ended, and what
     follows a start on the surface, an arrival on it and a sliding exit is
-    decided, counted and recorded by _next_region alone; a sliding exit
-    hands it the one lambda that the exit records. A leg that reaches t_end
-    without an event returns the step h None. The first leg starts from an
-    estimated step; each later leg starts at the step its predecessor
-    accepted last, the one that met its event (at a sliding exit taken
-    where the steps collapse, the last one accepted), and error control
-    trims it as usual. Repelling sliding continues but sets the
-    trajectory's non_unique flag. x0 must be three finite reals, t_end
-    positive and finite, and t_end / dense_output_stride at most MAX_SAMPLES
-    (ValidationError otherwise).
+    decided, counted and recorded by _next_region alone. A free leg reports
+    the region it arrived from as side, with lam None; a sliding exit
+    reports the end (+-1) of [-1, 1] that its root of f1 left by, or 0 where
+    its sheet folded, with the root lam of its last state on that sheet. A
+    leg that reaches t_end without an event returns the step h None. The
+    first leg starts from an estimated step; each later leg starts at the
+    step its predecessor accepted last, the one that met its event (at a
+    sliding exit taken where the steps collapse, the last one accepted),
+    and error control trims it as usual. Repelling sliding continues but
+    sets the trajectory's non_unique flag. x0 must be three finite reals,
+    t_end positive and finite, and t_end / dense_output_stride at most
+    MAX_SAMPLES (ValidationError otherwise).
     """
     opts = opts or IntegratorOptions()
     _check_start(x0, t_end, opts.dense_output_stride)
@@ -584,35 +587,35 @@ def integrate_pws(sys: PiecewiseSystem, x0, t_end: float,
         if traj.events > opts.max_events:
             raise EventLimitError(f"more than {opts.max_events} surface events")
         if region:
-            t, x, arrived, h = _free_leg(sys, t, x, region, t_end, opts, traj, rec, h)
-            if arrived:
-                region, lam = _next_region(sys, traj, t, x, region)
+            t, x, side, lam, h = _free_leg(sys, t, x, region, t_end, opts, rec, h)
         else:
-            t, x, lam, h = _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h)
-            if h is not None:
-                region, lam = _next_region(sys, traj, t, x, 0, lam)
+            t, x, side, lam, h = _sliding_leg(sys, t, x, lam, t_end, opts, rec, h)
+        if h is not None:
+            region, lam = _next_region(sys, traj, t, x, side, lam)
     return traj
 
 
-def _next_region(sys, traj, t, x, came_from: int, lam=None):
+def _next_region(sys, traj, t, x, side: int, lam=None):
     """Decide what follows a surface event at (t, x); returns (region, lam).
 
-    The event is a free leg's arrival from region came_from = +-1, a start
-    on the surface (came_from 0, lam None), or a sliding leg's exit at the
-    root lam of f1 that the exit records (came_from 0).
-    This is the one place that counts a surface event, one for an arrival
-    or an exit and none for a start, and appends the event's one record.
+    The event is a leg's report (side, lam): a free leg's arrival from
+    region side = +-1 (lam None), a sliding leg's exit at the root lam of f1
+    that the exit records, which left by the end side = +-1 of [-1, 1] or,
+    with side 0, at a fold of its sheet, or a start on the surface (side 0,
+    lam None). This is the one place that counts a surface event, one for
+    an arrival or an exit and none for a start, and appends the event's one
+    record.
 
-    - Arrival: -came_from at a crossing point, _resolve_tangency's choice
-      at a tangency, and a slide at a sliding point, which sets non_unique
-      where sliding repels. A crossing is recorded as 'crossing'.
+    - Arrival: -side at a crossing point, _resolve_tangency's choice at a
+      tangency, and a slide at a sliding point, which sets non_unique where
+      sliding repels. A crossing is recorded as 'crossing'.
     - Slide: region 0 from the root lambda of f1 first reached from the
       incoming side, a start counting as from below: the largest root from
       x1 > 0, else the smallest, of the attracting ones (df1/dlambda < 0)
       or, where none attracts, of all, which sets non_unique. With no root
       the flow leaves towards sign f1(lambda = 0) and the record has no
       lambda (and keeps a start's x1).
-    - Exit: towards sign(lam) where |lam| >= 1. At a fold, where
+    - Exit: towards side at an end of [-1, 1]. At a fold, where
       f1 ~ a (lambda - lambda_f)^2 + c, towards sign(a): the side the
       layer flow departs to.
     """
@@ -620,37 +623,36 @@ def _next_region(sys, traj, t, x, came_from: int, lam=None):
     f1_dlam = sys.f1_dlambda
     if lam is not None:
         traj.events += 1
-        away = lam
-        if abs(lam) < 1.0:
-            away = f1_dlam(0.0, x2, x3, lam + 1e-6) - f1_dlam(0.0, x2, x3, lam - 1e-6)
+        away = side or f1_dlam(0.0, x2, x3, lam + 1e-6) - f1_dlam(0.0, x2, x3, lam - 1e-6)
         traj.append(t, x, "sliding", lam)
         return 1 if away > 0 else -1, None
-    if came_from:
+    if side:
         traj.events += 1
         sm = classify_surface_point(sys, x)
         traj.non_unique |= sm is SurfaceMode.REPELLING_SLIDING
-        side = (-came_from if sm is SurfaceMode.CROSSING else
-                _resolve_tangency(sys, x) if sm is SurfaceMode.TANGENCY else 0)
-        if side:
+        region = (-side if sm is SurfaceMode.CROSSING else
+                  _resolve_tangency(sys, x, side) if sm is SurfaceMode.TANGENCY else 0)
+        if region:
             traj.append(t, x, "crossing", None)
-            return side, None
+            return region, None
     roots = sliding_lambdas(sys, x2, x3)
     if not roots:
         traj.append(t, x, "sliding", None)
         return 1 if sys.f1(0.0, x2, x3, 0.0) > 0 else -1, None
     attracting = [r for r in roots if f1_dlam(0.0, x2, x3, r) < 0.0]
-    lam = (max if came_from > 0 else min)(attracting or roots)
+    lam = (max if side > 0 else min)(attracting or roots)
     traj.non_unique |= not attracting
     traj.append(t, (0.0, x2, x3), "sliding", lam)
     return 0, lam
 
 
-def _free_leg(sys, t, x, region, t_end, opts, traj, rec, h):
+def _free_leg(sys, t, x, region, t_end, opts, rec, h):
     """Integrate one open-region segment, starting with step h (None: an
-    estimate), until the flow reaches x1 = 0 or t_end; returns
-    (t, x, arrived, h), with x on the surface and h the length of the step
-    that crossed when arrived, else h None. The stepper is only read:
-    _locate_crossing places the crossing on a copy of it.
+    estimate), until the flow reaches x1 = 0 or t_end; returns the report
+    (t, x, region, None, h), with x on the surface and h the length of the
+    step that crossed where it arrived, else h None after appending the end
+    record through rec. The stepper is only read: _locate_crossing places
+    the crossing on a copy of it.
 
     A step crosses where its end lies on or past the surface, or where x1
     turns back inside it (x1' points at the surface at its start and away
@@ -675,10 +677,10 @@ def _free_leg(sys, t, x, region, t_end, opts, traj, rec, h):
             continue
         t_ev, x_ev = _locate_crossing(stepper, region, *far)
         rec.emit_through(t_ev, stepper, mode)
-        return t_ev, (0.0, x_ev[1], x_ev[2]), True, stepper.t - stepper.t_prev
+        return t_ev, (0.0, x_ev[1], x_ev[2]), region, None, stepper.t - stepper.t_prev
     rec.emit_through(t_end, stepper, mode)
-    traj.append(t_end, stepper.x, mode, None)
-    return stepper.t, stepper.x, False, None
+    rec.traj.append(t_end, stepper.x, mode, None)
+    return stepper.t, stepper.x, region, None, None
 
 
 def _turning_point(step) -> tuple[float, float]:
@@ -732,15 +734,24 @@ def _locate_crossing(step: Dopri3, region: int, hi: float, g_hi: float):
         f"|x1| <= {SURFACE_TOL!r}: x1 = {val!r}, x1' = {deriv!r} at t = {probe.t!r}")
 
 
-def _resolve_tangency(sys, x) -> int:
-    """Region to continue in after a grazing arrival (0 means slide)."""
+def _resolve_tangency(sys, x, came_from: int) -> int:
+    """Region to continue in after a grazing arrival from region came_from
+    (0 means slide).
+
+    The side whose f1 is within RESIDUAL_TOL of 0 grazes. At a visible fold
+    the flow returns to the grazing side, unless that is came_from and its
+    f1 points at the surface, where returning would arrive again at once;
+    otherwise the other side decides: sliding where its f1 pushes onto the
+    surface, else a crossing into it.
+    """
     vplus = sys.f1(0.0, x[1], x[2], 1.0)
     vminus = sys.f1(0.0, x[1], x[2], -1.0)
     if abs(vplus) <= RESIDUAL_TOL and abs(vminus) <= RESIDUAL_TOL:
         return 0  # two-fold point itself: hand to sliding machinery
     grazing = 1 if abs(vplus) <= RESIDUAL_TOL else -1
     curv = sys.surface_curvature(x, grazing)
-    if curv * grazing > 0.0:
+    v_grazing = vplus if grazing > 0 else vminus
+    if curv * grazing > 0.0 and (grazing != came_from or v_grazing * grazing >= 0.0):
         # visible fold: the grazing flow curves back into its own region
         return grazing
     other = -grazing
@@ -750,19 +761,23 @@ def _resolve_tangency(sys, x) -> int:
     return other
 
 
-def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h):
+def _sliding_leg(sys, t, x, lam, t_end, opts, rec, h):
     """Integrate one sliding segment on x1 = 0 from the root lam of f1,
     starting with step h (None: an estimate), until it leaves its sheet of
-    f1 = 0 or reaches t_end; returns (t, x, lam, h): lam is the end's
-    lambda, on f1 = 0, and h the length of the last accepted step where it
-    left, else h None. At an exit, lam is the one lambda the exit records
-    and _next_region reads its side from.
+    f1 = 0 or reaches t_end; returns the report (t, x, side, lam, h): lam is
+    the end's lambda, on f1 = 0, and h the length of the last accepted step
+    where it left, else h None after appending the end record through rec.
+    An exit's side is the end (+-1) of [-1, 1] that lambda reached, or 0
+    where df1/dlambda changed sign (a fold of the sheet) or the steps
+    collapsed there.
 
     Each accepted step's end and each dense sample (which _Recorder takes
     from the step's cubic Hermite) is put back on f1 = 0 by one Newton step
     in lambda, the exit by up to 30, to |f1| <= RESIDUAL_TOL. The exit is
     found by bisection in t on hermite(stepper) of the step that left, its
-    end already projected, each state so projected.
+    end already projected, each state so projected; it is recorded at the
+    last bisected state still on the sheet, and its side read at the first
+    one off it.
     """
     x2, x3 = x[1], x[2]
     f1, f1_dlam = sys.f1, sys.f1_dlambda
@@ -782,7 +797,7 @@ def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h):
             stepper.step_to(t_end)
         except StepUnderflowError:
             # steps collapse as lambda' blows up at a fold: exit there
-            t_ev, s = stepper.t, stepper.x
+            t_ev, s, side = stepper.t, stepper.x, 0
             if abs(f1_dlam(0.0, s[1], s[2], s[0])) > math.sqrt(RESIDUAL_TOL):
                 raise
             break
@@ -798,16 +813,16 @@ def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h):
                 hi = mid
             else:
                 lo = mid
-        if abs(project(at(hi))[0]) < 1.0:
-            hi = lo  # past a fold f1 = 0 has no root nearby: exit before it
-        t_ev, s = hi, project(at(hi))
+        lam_off = project(at(hi))[0]
+        side = (lam_off >= 1.0) - (lam_off <= -1.0)  # 0: left at a fold
+        t_ev, s = lo, project(at(lo))
         rec.emit_through(t_ev, stepper, "sliding", project)
         break
     else:  # t_end reached without an exit
         rec.emit_through(t_end, stepper, "sliding", project)
         lam, x2, x3 = stepper.x
-        traj.append(t_end, (0.0, x2, x3), "sliding", lam)
-        return stepper.t, (0.0, x2, x3), lam, None
+        rec.traj.append(t_end, (0.0, x2, x3), "sliding", lam)
+        return stepper.t, (0.0, x2, x3), 0, lam, None
     h = stepper.t - stepper.t_prev
     lam, x2, x3 = s
     # near a fold lambda ~ sqrt(t_ev - t), which the step's cubic interpolant
@@ -819,4 +834,4 @@ def _sliding_leg(sys, t, x, lam, t_end, opts, traj, rec, h):
     else:
         raise SlidingResidualError(
             f"sliding exit at (x2, x3) = ({x2!r}, {x3!r}) stays off f1 = 0")
-    return t_ev, (0.0, x2, x3), lam, h
+    return t_ev, (0.0, x2, x3), side, lam, h

@@ -489,6 +489,37 @@ class TestSlidingLeg:
         for (_, x2, x3), lam in rows:
             assert abs(sys.f1(0.0, x2, x3, lam)) <= 1e-9
 
+    def test_every_sliding_record_lies_in_the_domain_of_lambda(self):
+        # this run leaves sliding at lambda = -1 near t = 24.40 and 39.47 and
+        # at +1 near 30.91; each exit is recorded at the last state on its
+        # sheet, so combination accepts every sliding record
+        sys = pf.example_system("i")
+        traj = pf.integrate_pws(sys, (0.1, -0.5, 0.5), 50.0)
+        rows = [(x, lam) for x, m, lam in zip(traj.states, traj.modes, traj.lambdas)
+                if m == "sliding"]
+        assert len(rows) > 50
+        for x, lam in rows:
+            assert -1.0 <= lam <= 1.0
+            pf.combination(sys, x, lam)
+
+    # f1 = ((1 + lambda) x2 + 1 - lambda)/2 + 0.2 (1 - lambda^2) and x2' = 1:
+    # from x2 = -1 the attracting root rises from 0.19 to lambda = +1 at
+    # t = 1, where f1+ = x2 turns positive; d2f1/dlambda2 = -0.4, so a fold
+    # exit there would leave to x1 < 0. The second system is its image under
+    # the side swap x1 -> -x1, lambda -> -lambda
+    @pytest.mark.parametrize("fields, end", [
+        ((("x2", "1", "0"), ("1", "1", "0"), ("0.2", "0", "0")), 1),
+        ((("-1", "1", "0"), ("-x2", "1", "0"), ("-0.2", "0", "0")), -1),
+    ])
+    def test_exit_at_an_end_of_lambda_leaves_to_that_side(self, fields, end):
+        traj = pf.integrate_pws(pf.PiecewiseSystem.from_strings(*fields), (0.0, -1.0, 0.0), 2.0)
+        i = traj.modes.index("free+" if end > 0 else "free-") - 1
+        assert traj.modes[i] == "sliding" and set(traj.modes[:i]) == {"sliding"}
+        assert traj.times[i] == pytest.approx(1.0, abs=1e-8)
+        assert 1.0 - 1e-8 < end * traj.lambdas[i] < 1.0
+        assert traj.events == 1
+        assert traj.final_state == pytest.approx((0.5 * end, 1.0, 0.0), abs=1e-8)
+
     def test_start_without_a_sliding_root_leaves_to_the_sign_of_f1(self):
         # x2 x3 < 0 is the crossing region of this normal form: f1 has no
         # root lambda in [-1, 1], and f1(0, 1, -1, 0) = -1
@@ -645,15 +676,28 @@ class TestTangency:
         assert order == ["free+", "crossing", "free-"]
         assert traj.final_state[0] == pytest.approx(-2.987, abs=1e-3)
 
+    def test_grazing_arrival_that_would_arrive_again_crosses(self):
+        # on f+ = (-x2^2, 1, 0), x1 = 1/3 + (t - 1)^3 / 3 grazes x1 = 0 at
+        # t = 1, where the fold is visible; but f1+ = -x2^2 < 0 points at the
+        # surface, so a return to x1 > 0 would arrive again at once. f- pulls
+        # away, and the flow crosses: x1 = -(t - 1) afterwards
+        sys = pf.PiecewiseSystem.from_strings(("-x2^2", "1", "0"), ("-1", "1", "0"))
+        traj = pf.integrate_pws(sys, (1.0 / 3.0, -1.0, 0.0), 3.0)
+        assert traj.events == 1
+        i = traj.modes.index("crossing")
+        assert traj.times[i] == pytest.approx(1.0, abs=1e-5)
+        assert set(traj.modes[:i]) == {"free+"} and set(traj.modes[i + 1:]) == {"free-"}
+        assert traj.final_state == pytest.approx((-2.0, 2.0, 0.0), abs=1e-5)
+
     def test_visible_fold_returns_to_its_own_side(self):
         # f+ = (-x2, -1, 0) grazes the origin and curves back into x1 > 0
         sys = pf.PiecewiseSystem.from_strings(("-x2", "-1", "0"), ("1", "0", "0"))
-        assert _resolve_tangency(sys, (0.0, 0.0, 0.0)) == 1
+        assert _resolve_tangency(sys, (0.0, 0.0, 0.0), 1) == 1
 
     def test_two_fold_point_slides(self):
         # both normal components vanish at the origin
         sys = pf.PiecewiseSystem.from_strings(("-x2", "1", "0"), ("x3", "0", "1"))
-        assert _resolve_tangency(sys, (0.0, 0.0, 0.0)) == 0
+        assert _resolve_tangency(sys, (0.0, 0.0, 0.0), 1) == 0
 
 
 def test_oracle_equivalence_db_example_before_passage():
