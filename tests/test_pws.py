@@ -677,10 +677,11 @@ class TestTangency:
         assert traj.final_state[0] == pytest.approx(-2.987, abs=1e-3)
 
     def test_grazing_arrival_that_would_arrive_again_crosses(self):
-        # on f+ = (-x2^2, 1, 0), x1 = 1/3 + (t - 1)^3 / 3 grazes x1 = 0 at
-        # t = 1, where the fold is visible; but f1+ = -x2^2 < 0 points at the
-        # surface, so a return to x1 > 0 would arrive again at once. f- pulls
-        # away, and the flow crosses: x1 = -(t - 1) afterwards
+        # on f+ = (-x2^2, 1, 0), x1 = -(t - 1)^3 / 3 meets x1 = 0 with zero
+        # slope at t = 1, and the curvature just before it reads as a visible
+        # fold; but f1+ = -x2^2 < 0 points at the surface, so a return to
+        # x1 > 0 would arrive again at once. f- pulls away, and the flow
+        # crosses: x1 = -(t - 1) afterwards
         sys = pf.PiecewiseSystem.from_strings(("-x2^2", "1", "0"), ("-1", "1", "0"))
         traj = pf.integrate_pws(sys, (1.0 / 3.0, -1.0, 0.0), 3.0)
         assert traj.events == 1

@@ -7,8 +7,8 @@ outputs are the trajectory CSVs of event-driven runs on every bundled system,
 on a system whose f1 is cubic in lambda, on two invisible_db starts that slide
 into its folded node, and on four starts that reach the tangency and
 no-sliding-root policies (a grazing arrival that slides, one that crosses, one
-at a visible fold whose own side points back at the surface, and a start on
-the surface where f1 has no root); a normal-form run whose one
+read as a visible fold whose own side points back at the surface, and a start
+on the surface where f1 has no root); a normal-form run whose one
 crossing is an excursion through x1 = 0 inside one accepted step; regularized
 runs of examples i-iii at eps 1e-3 with each built-in sigmoid, and at eps 1e-4
 and 1e-5; one event-driven run (with sliding legs and crossings) and one
@@ -79,12 +79,12 @@ FINE_STRIDE_REGULARIZED = ("iii", (0.1, 0.1, 0.1), 5.0)
 # Section-6 pair with a hidden term cubic in lambda (the root-scan path).
 CUBIC_SYSTEM = (("-1", "-1", "0"), ("1", "-1", "0"), ("0.2 + 0.1*lambda", "0", "0"))
 # (name, system, start, t_end): f+ = (-10 x1, 1, 0) grazes x1 = 0 near
-# t = 2.013, where f- makes it slide or cross; f+ = (-x2^2, 1, 0) grazes it
-# at t = 1 at a visible fold, where f1+ < 0 points back at the surface, so it
-# crosses; the normal form started in its crossing region x2 x3 < 0 has no
-# sliding root and leaves to sign(f1); the last normal form's x1 dips through
-# 0 and back within one accepted step, near t = 1.72, where only the step's
-# cubic shows the crossing.
+# t = 2.013, where f- makes it slide or cross; f+ = (-x2^2, 1, 0) meets it
+# with zero slope at t = 1, read as a visible fold where f1+ < 0 points back
+# at the surface, so it crosses; the normal form started in its crossing
+# region x2 x3 < 0 has no sliding root and leaves to sign(f1); the last normal
+# form's x1 dips through 0 and back within one accepted step, near t = 1.72,
+# where only the step's cubic shows the crossing.
 POLICY_CASES = (
     ("tangency_slide", PiecewiseSystem.from_strings(("-10*x1", "1", "0"), ("1", "0", "1")),
      (0.01, 0.0, 0.0), 5.0),
